@@ -14,6 +14,7 @@ package adversary
 
 import (
 	"math"
+	"slices"
 
 	"robustsample/internal/game"
 	"robustsample/internal/rng"
@@ -340,9 +341,21 @@ func (h *HHInflation) Next(obs game.Observation, r *rng.RNG) int64 {
 // the opposite side of the stream median, dragging the two apart. It is a
 // weaker, heuristic cousin of Bisection used to show that even crude
 // adaptivity beats static streams.
+//
+// The pusher follows the sample through a sorted mirror kept in step from
+// the game's per-round delta (Observation.DeltaKnown), so a round costs one
+// binary-search insert or delete per changed element — nothing on the rounds
+// a reservoir leaves its sample alone — and never allocates once the mirror
+// has grown to the sample size. The mirror starts in step at a game's first
+// round, whose sample is empty; an observation without a delta takes it out
+// of step until the sample is next empty, and such rounds fall back to a
+// linear-time selection in the mirror's buffer.
 type MedianPusher struct {
 	// Universe is N.
 	Universe int64
+
+	sorted []int64 // while synced, the previous observation's sample, ascending
+	synced bool
 }
 
 // NewMedianPusher returns the heuristic median attack over [1, universe].
@@ -356,16 +369,44 @@ func NewMedianPusher(universe int64) *MedianPusher {
 // Name implements game.Adversary.
 func (m *MedianPusher) Name() string { return "median-pusher" }
 
-// Reset implements game.Adversary.
-func (m *MedianPusher) Reset() {}
+// Reset implements game.Adversary, dropping the mirror of the last game's
+// sample.
+func (m *MedianPusher) Reset() {
+	m.sorted = m.sorted[:0]
+	m.synced = false
+}
 
 // Next implements game.Adversary.
+//
+//robust:hotpath
 func (m *MedianPusher) Next(obs game.Observation, r *rng.RNG) int64 {
-	if len(obs.Sample) == 0 {
+	// Upper median of the current sample: the element of rank len/2.
+	var med int64
+	switch {
+	case len(obs.Sample) == 0:
+		// Every game starts here, and an empty mirror is in step with an
+		// empty sample: the deltas take it from here.
+		m.sorted = m.sorted[:0]
+		m.synced = true
 		return m.Universe / 2
+	case obs.DeltaKnown && m.synced:
+		// Additions first, then removals, so an element added and removed
+		// by one delta is always found.
+		for _, x := range obs.Added {
+			i, _ := slices.BinarySearch(m.sorted, x)
+			m.sorted = slices.Insert(m.sorted, i, x)
+		}
+		for _, x := range obs.Removed {
+			if i, ok := slices.BinarySearch(m.sorted, x); ok {
+				m.sorted = slices.Delete(m.sorted, i, i+1)
+			}
+		}
+		med = m.sorted[len(m.sorted)/2]
+	default:
+		m.synced = false
+		m.sorted = append(m.sorted[:0], obs.Sample...)
+		med = quickselectMedian(m.sorted)
 	}
-	// Median of the current sample (order statistics over the view).
-	med := medianOf(obs.Sample)
 	// Submit just above the sample median so that, if admitted, the
 	// sample median climbs; if not, the stream mass accumulates above
 	// the sample's view of the distribution anyway.
@@ -376,29 +417,27 @@ func (m *MedianPusher) Next(obs game.Observation, r *rng.RNG) int64 {
 	return med + 1 + r.Int63n(span)
 }
 
-func medianOf(xs []int64) int64 {
-	cp := append([]int64(nil), xs...)
-	// Partial selection via sort; samples are small.
-	quickselectMedian(cp)
-	return cp[len(cp)/2]
-}
-
-func quickselectMedian(a []int64) {
+// quickselectMedian reorders a so that a[len(a)/2] holds the element of that
+// rank in sorted order, and returns it (Hoare's selection: expected linear
+// time, duplicates split evenly).
+func quickselectMedian(a []int64) int64 {
 	k := len(a) / 2
 	lo, hi := 0, len(a)-1
 	for lo < hi {
+		// The split index only guarantees a[lo..p] <= a[p+1..hi]; it is
+		// not the pivot's sorted position, so keep the side holding rank k.
 		p := partition(a, lo, hi)
-		switch {
-		case p == k:
-			return
-		case p < k:
+		if k <= p {
+			hi = p
+		} else {
 			lo = p + 1
-		default:
-			hi = p - 1
 		}
 	}
+	return a[k]
 }
 
+// partition is Hoare's scheme on a[lo..hi] (lo < hi) around the middle
+// element. It returns p in [lo, hi) with a[lo..p] <= a[p+1..hi].
 func partition(a []int64, lo, hi int) int {
 	pivot := a[(lo+hi)/2]
 	i, j := lo, hi

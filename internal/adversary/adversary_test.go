@@ -2,6 +2,7 @@ package adversary
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"robustsample/internal/game"
@@ -311,14 +312,90 @@ func TestMedianPusherValidates(t *testing.T) {
 }
 
 func TestMedianOf(t *testing.T) {
-	if m := medianOf([]int64{5, 1, 3}); m != 3 {
-		t.Fatalf("median = %d, want 3", m)
+	for _, c := range []struct {
+		in   []int64
+		want int64
+	}{
+		{[]int64{5, 1, 3}, 3},
+		{[]int64{2, 1, 4, 3}, 3}, // even length: the upper median
+		{[]int64{9}, 9},
+		// Hoare's split index is not the pivot's sorted position: stopping
+		// when it hits len/2 returned 15512 here.
+		{[]int64{20829, 17345, 19326, 15512, 8668, 7847}, 17345},
+	} {
+		if got := quickselectMedian(slices.Clone(c.in)); got != c.want {
+			t.Fatalf("median of %v = %d, want %d", c.in, got, c.want)
+		}
 	}
-	if m := medianOf([]int64{2, 1, 4, 3}); m != 3 {
-		t.Fatalf("median of even = %d, want 3 (upper)", m)
+}
+
+// TestQuickselectMedianBruteForce checks the selection against a full sort
+// on random inputs of every small length, over universes from a handful of
+// values (heavy duplicates) to the whole int64 range.
+func TestQuickselectMedianBruteForce(t *testing.T) {
+	r := rng.New(99)
+	for _, universe := range []int64{1, 2, 3, 10, 1000, math.MaxInt64} {
+		for trial := 0; trial < 3000; trial++ {
+			in := make([]int64, 1+r.Intn(70))
+			for i := range in {
+				in[i] = r.Int63n(universe)
+				if universe == math.MaxInt64 && r.Intn(2) == 0 {
+					in[i] = -in[i] - 1
+				}
+			}
+			sorted := slices.Clone(in)
+			slices.Sort(sorted)
+			if got, want := quickselectMedian(slices.Clone(in)), sorted[len(sorted)/2]; got != want {
+				t.Fatalf("median of %v = %d, want %d", in, got, want)
+			}
+		}
 	}
-	if m := medianOf([]int64{9}); m != 9 {
-		t.Fatalf("median singleton = %d", m)
+}
+
+// TestMedianPusherNextAllocsZero pins the steady state of both median paths
+// at zero allocations per round: the mirror fed by deltas, and the
+// selection fallback for observations without one.
+func TestMedianPusherNextAllocsZero(t *testing.T) {
+	const k = 843
+	r := rng.New(5)
+	sample := make([]int64, k)
+	for i := range sample {
+		sample[i] = 1 + r.Int63n(1<<20)
+	}
+	m := NewMedianPusher(1 << 20)
+	m.Next(game.Observation{Round: 1, N: 10, Sample: sample}, r) // sizes the selection buffer
+	if a := testing.AllocsPerRun(100, func() {
+		m.Next(game.Observation{Round: 2, N: 10, Sample: sample}, r)
+	}); a != 0 {
+		t.Fatalf("fallback Next: %v allocs per round, want 0", a)
+	}
+
+	// Mirror path: each round replaces one slot, as a reservoir eviction
+	// does, and reports that delta.
+	m.Reset()
+	var empty []int64
+	m.Next(game.Observation{Round: 1, N: 10, Sample: empty[:0]}, r)
+	m.Next(game.Observation{Round: 2, N: 10, Sample: sample, DeltaKnown: true, Added: sample}, r)
+	added, removed := make([]int64, 1), make([]int64, 1)
+	slot := 0
+	if a := testing.AllocsPerRun(1000, func() {
+		removed[0] = sample[slot]
+		added[0] = 1 + r.Int63n(1<<20)
+		sample[slot] = added[0]
+		slot = (slot + 7) % k
+		m.Next(game.Observation{Round: 3, N: 10, Sample: sample, DeltaKnown: true, Added: added, Removed: removed}, r)
+	}); a != 0 {
+		t.Fatalf("mirror Next: %v allocs per round, want 0", a)
+	}
+	want := slices.Clone(sample)
+	slices.Sort(want)
+	if !slices.Equal(m.sorted, want) {
+		t.Fatal("mirror drifted from the sample")
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		m.Next(game.Observation{Round: 3, N: 10, Sample: sample, DeltaKnown: true}, r)
+	}); a != 0 {
+		t.Fatalf("unchanged-sample Next: %v allocs per round, want 0", a)
 	}
 }
 
@@ -350,5 +427,74 @@ func BenchmarkBisectionGame(b *testing.B) {
 		s := sampler.NewBernoulli[int64](p)
 		adv := NewBisectionBernoulli(universe, n, p)
 		game.Run(s, adv, sys, n, 0.5, r)
+	}
+}
+
+// TestMedianPusherResetDropsMirror: after Reset the pusher must not apply a
+// delta to the previous game's mirror, even when the first observation
+// claims one; it must answer as a fresh pusher does.
+func TestMedianPusherResetDropsMirror(t *testing.T) {
+	used := NewMedianPusher(100)
+	r := rng.New(6)
+	used.Next(game.Observation{Round: 1, N: 10}, r)
+	used.Next(game.Observation{Round: 2, N: 10, Sample: []int64{1, 2}, DeltaKnown: true, Added: []int64{1, 2}}, r)
+	used.Reset()
+	// The sample's median is 20; the stale mirror plus this delta,
+	// {1, 2, 30}, would give 2.
+	obs := game.Observation{Round: 2, N: 10, Sample: []int64{10, 20, 30}, DeltaKnown: true, Added: []int64{30}}
+	got := used.Next(obs, rng.New(7))
+	if want := NewMedianPusher(100).Next(obs, rng.New(7)); got != want {
+		t.Fatalf("after Reset: submitted %d, a fresh pusher submits %d", got, want)
+	}
+}
+
+// BenchmarkMedianPusherNext times one round at the Theorem 1.2 reservoir
+// size k = 843: "fallback" replays an observation without a delta (the
+// selection path), "mirror" replaces one sample slot per round and reports
+// that delta, as a reservoir eviction does.
+func BenchmarkMedianPusherNext(b *testing.B) {
+	const k = 843
+	r := rng.New(3)
+	sample := make([]int64, k)
+	for i := range sample {
+		sample[i] = 1 + r.Int63n(1<<20)
+	}
+	b.Run("fallback", func(b *testing.B) {
+		m := NewMedianPusher(1 << 20)
+		obs := game.Observation{Round: 2, N: 10, Sample: sample}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m.Next(obs, r)
+		}
+	})
+	b.Run("mirror", func(b *testing.B) {
+		m := NewMedianPusher(1 << 20)
+		m.Next(game.Observation{Round: 1, N: 10}, r)
+		m.Next(game.Observation{Round: 2, N: 10, Sample: sample, DeltaKnown: true, Added: sample}, r)
+		added, removed := make([]int64, 1), make([]int64, 1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			slot := i % k
+			removed[0], added[0] = sample[slot], 1+r.Int63n(1<<20)
+			sample[slot] = added[0]
+			m.Next(game.Observation{Round: 3, N: 10, Sample: sample, DeltaKnown: true, Added: added, Removed: removed}, r)
+		}
+	})
+}
+
+// BenchmarkMedianPusherGame plays the continuous median-pusher game against
+// a Theorem 1.2 reservoir (k = 843, n = 20,000, Theorem 1.4 checkpoints).
+func BenchmarkMedianPusherGame(b *testing.B) {
+	const n = 20000
+	sys := setsystem.NewPrefixes(1 << 20)
+	cps := game.MustCheckpoints(843, n, 0.05)
+	s := sampler.NewReservoir[int64](843)
+	adv := NewMedianPusher(1 << 20)
+	acc := sys.NewAccumulator()
+	root := rng.New(4)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		game.RunContinuousWith(s, adv, sys, n, 0.2, cps, root.Split(), acc)
 	}
 }

@@ -47,9 +47,10 @@ type Sampler interface {
 // (the reservoir eviction path). RunContinuous uses it to keep its
 // incremental discrepancy accumulator in sync with the sample in O(1) per
 // round; samplers that do not implement it fall back to an O(|sample|)
-// rebuild per checkpoint. All samplers in this repository implement it. The
-// returned slices are valid until the next Offer/OfferBatch and must not be
-// mutated.
+// rebuild per checkpoint; Run and RunContinuous also hand each round's delta
+// to the adversary (Observation.DeltaKnown). All samplers in this repository
+// implement it. The returned slices are valid until the next
+// Offer/OfferBatch and must not be mutated.
 type SampleDeltaReporter interface {
 	LastDelta() (added, removed []int64)
 }
@@ -107,6 +108,18 @@ type Observation struct {
 	// History holds x_1, ..., x_{i-1}. It is a live view; adversaries
 	// must not mutate it.
 	History []int64
+	// DeltaKnown reports whether Added and Removed hold the change the
+	// previous round made to the sample: Sample equals the previous
+	// round's Sample plus Added minus Removed, as multisets. The games set
+	// it from round 2 on when the sampler is a SampleDeltaReporter. It adds
+	// nothing to what Figure 1 grants — the adversary saw σ_{i-2} last
+	// round and sees σ_{i-1} now — but lets it follow the sample at the
+	// cost of the change instead of re-reading the whole view.
+	DeltaKnown bool
+	// Added and Removed are the previous round's sample delta when
+	// DeltaKnown is set. They are live views valid for this round only;
+	// adversaries must not mutate them.
+	Added, Removed []int64
 }
 
 // Adversary chooses the stream adaptively. Implementations may be
@@ -178,8 +191,10 @@ func Run(s Sampler, adv Adversary, sys setsystem.SetSystem, n int, eps float64, 
 		}
 	}
 
+	deltas, trackDeltas := s.(SampleDeltaReporter)
 	stream := make([]int64, 0, n)
 	lastAdmitted := false
+	var added, removed []int64
 	for i := 1; i <= n; i++ {
 		obs := Observation{
 			Round:        i,
@@ -187,10 +202,16 @@ func Run(s Sampler, adv Adversary, sys setsystem.SetSystem, n int, eps float64, 
 			Sample:       s.View(),
 			LastAdmitted: lastAdmitted,
 			History:      stream,
+			DeltaKnown:   trackDeltas && i > 1,
+			Added:        added,
+			Removed:      removed,
 		}
 		x := adv.Next(obs, advRNG)
 		stream = append(stream, x)
 		lastAdmitted = s.Offer(x, samplerRNG)
+		if trackDeltas {
+			added, removed = deltas.LastDelta()
+		}
 	}
 
 	sample := append([]int64(nil), s.View()...)
@@ -373,6 +394,7 @@ func RunContinuousWith(s Sampler, adv Adversary, sys setsystem.SetSystem, n int,
 
 	stream := make([]int64, 0, n)
 	lastAdmitted := false
+	var added, removed []int64
 	var prefixErrs []PrefixError
 	maxErr := 0.0
 	firstViolation := 0
@@ -386,6 +408,9 @@ func RunContinuousWith(s Sampler, adv Adversary, sys setsystem.SetSystem, n int,
 			Sample:       s.View(),
 			LastAdmitted: lastAdmitted,
 			History:      stream,
+			DeltaKnown:   trackDeltas && i > 1,
+			Added:        added,
+			Removed:      removed,
 		}
 		x := adv.Next(obs, advRNG)
 		stream = append(stream, x)
@@ -393,7 +418,7 @@ func RunContinuousWith(s Sampler, adv Adversary, sys setsystem.SetSystem, n int,
 
 		acc.AddStream(x)
 		if trackDeltas {
-			added, removed := deltas.LastDelta()
+			added, removed = deltas.LastDelta()
 			for _, a := range added {
 				acc.AddSample(a)
 			}

@@ -144,3 +144,29 @@ func TestRunShardedSingleShardDegenerate(t *testing.T) {
 		t.Fatalf("final discrepancy %+v, one-shot %+v", res.Discrepancy, want)
 	}
 }
+
+// deltaWatcher is an adaptive adversary that records whether any round's
+// Observation claimed to know the sample delta.
+type deltaWatcher struct{ rounds, known int }
+
+func (w *deltaWatcher) Name() string { return "delta-watcher" }
+func (w *deltaWatcher) Reset()       { *w = deltaWatcher{} }
+func (w *deltaWatcher) Next(obs game.Observation, r *rng.RNG) int64 {
+	w.rounds++
+	if obs.DeltaKnown || obs.Added != nil || obs.Removed != nil {
+		w.known++
+	}
+	return 1 + r.Int63n(shardedUniverse)
+}
+
+// TestRunShardedReportsNoDelta: the coordinator's union sample has no
+// per-round delta, so RunSharded must never set Observation.DeltaKnown.
+func TestRunShardedReportsNoDelta(t *testing.T) {
+	eng := newShardedEngine(3, 10, 1, shard.Uniform{}, false)
+	w := &deltaWatcher{}
+	n := 300
+	game.RunSharded(eng, w, n, 0.5, game.MustCheckpoints(1, n, 0.1), rng.New(5))
+	if w.rounds != n || w.known != 0 {
+		t.Fatalf("%d rounds, %d with a delta; want %d rounds, none with a delta", w.rounds, w.known, n)
+	}
+}

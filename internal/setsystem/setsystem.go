@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 )
 
 // Discrepancy reports the maximal density deviation between a stream and a
@@ -223,6 +224,9 @@ func (s Suffixes) MaxDiscrepancy(stream, sample []int64) Discrepancy {
 	return Discrepancy{Err: d.Err, Lo: lo, Hi: s.n}
 }
 
+// scanBufs recycles cdfScan's sort buffers (*[]int64) across calls.
+var scanBufs sync.Pool
+
 // cdfScan walks the merged sorted values of stream and sample tracking the
 // CDF difference D(t) = F_X(t) - F_S(t). With twoSided=false it returns
 // max_t |D(t)| (prefix discrepancy with witness [1, t]); with twoSided=true
@@ -255,10 +259,25 @@ func cdfScan(stream, sample []int64, twoSided bool) Discrepancy {
 		return Discrepancy{Err: 1, Lo: 1, Hi: max}
 	}
 
-	xs := append([]int64(nil), stream...)
-	ss := append([]int64(nil), sample...)
-	slices.Sort(xs)
-	slices.Sort(ss)
+	// One buffer holds both copies and the radix scratch they share; it is
+	// recycled, so a steady stream of verdicts does not feed the collector.
+	need := len(stream) + len(sample) + max(len(stream), len(sample))
+	bp, _ := scanBufs.Get().(*[]int64)
+	if bp == nil {
+		bp = new([]int64)
+	}
+	if cap(*bp) < need {
+		*bp = make([]int64, need)
+	}
+	defer scanBufs.Put(bp)
+	mem := (*bp)[:need]
+	xs := mem[:len(stream):len(stream)]
+	ss := mem[len(stream) : len(stream)+len(sample) : len(stream)+len(sample)]
+	tmp := mem[len(stream)+len(sample):]
+	copy(xs, stream)
+	copy(ss, sample)
+	radixSort(xs, tmp)
+	radixSort(ss, tmp)
 
 	nx := int64(len(xs))
 	ns := int64(len(ss))
@@ -323,6 +342,58 @@ func cdfScan(stream, sample []int64, twoSided bool) Discrepancy {
 		lo, hi = 1, 1
 	}
 	return Discrepancy{Err: err, Lo: lo, Hi: hi}
+}
+
+// radixMinLen is the length below which radixSort hands over to pdqsort:
+// the radix passes' fixed cost of 256 counters per byte outweighs the
+// comparisons on shorter inputs.
+const radixMinLen = 256
+
+// radixSort sorts xs ascending in place, using tmp (len(tmp) >= len(xs)) as
+// scratch. It is an LSD radix sort on each key's unsigned offset from the
+// minimum, one stable 8-bit counting pass per byte the largest offset uses
+// (three for the universe [2^20]) and none for a constant input. A sorted
+// integer array is unique, so callers see exactly what slices.Sort gives.
+func radixSort(xs, tmp []int64) {
+	if len(xs) < radixMinLen {
+		slices.Sort(xs)
+		return
+	}
+	lo, hi := xs[0], xs[0]
+	for _, v := range xs {
+		lo = min(lo, v)
+		hi = max(hi, v)
+	}
+	span := uint64(hi - lo) // exact even across the full int64 range
+	passes := 0
+	for ; passes < 8 && span>>(8*passes) != 0; passes++ {
+	}
+	var counts [8][256]int
+	for _, v := range xs {
+		off := uint64(v - lo)
+		for p := 0; p < passes; p++ {
+			counts[p][byte(off>>(8*p))]++
+		}
+	}
+	src, dst := xs, tmp[:len(xs)]
+	for p := 0; p < passes; p++ {
+		c := &counts[p]
+		pos := 0
+		for b, n := range c {
+			c[b] = pos
+			pos += n
+		}
+		shift := 8 * p
+		for _, v := range src {
+			b := byte(uint64(v-lo) >> shift)
+			dst[c[b]] = v
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	if passes%2 == 1 {
+		copy(xs, src)
+	}
 }
 
 // Density returns d_R(T) for the explicit range [lo, hi]: the fraction of

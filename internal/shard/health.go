@@ -114,7 +114,8 @@ type Coverage struct {
 	// lengths — the rounds the answer actually reflects.
 	Covered int
 	// Routed is the session's accepted round count at query time
-	// (everything offered, applied or not).
+	// (everything offered, applied or not), read after the shards are
+	// walked so that Covered <= Routed.
 	Routed int
 }
 
@@ -315,7 +316,7 @@ func (s *Serving) Health() Health {
 // calling fn for the shards whose lock was acquired, and returns the
 // coverage report. The wait bound is the session's QueryWait.
 func (s *Serving) coveredShards(fn func(i int, sh *shardState)) Coverage {
-	cov := Coverage{Shards: len(s.e.shards), Routed: s.Rounds()}
+	cov := Coverage{Shards: len(s.e.shards)}
 	for i, sh := range s.e.shards {
 		ok := s.pl.TryWithShard(i, s.queryWait, func() {
 			fn(i, sh)
@@ -327,6 +328,10 @@ func (s *Serving) coveredShards(fn func(i int, sh *shardState)) Coverage {
 			cov.Stalled = append(cov.Stalled, i)
 		}
 	}
+	// Routed is read after the walk: producers keep offering while it
+	// runs, and a round is counted as offered before any shard applies it,
+	// so only a later read keeps Covered <= Routed.
+	cov.Routed = s.Rounds()
 	return cov
 }
 

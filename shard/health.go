@@ -93,7 +93,8 @@ type Coverage struct {
 	// lengths — the rounds the answer actually reflects.
 	Covered int
 	// Routed is the session's accepted round count at query time
-	// (everything offered, applied or not).
+	// (everything offered, applied or not), read after the shards are
+	// walked so that Covered <= Routed.
 	Routed int
 }
 
