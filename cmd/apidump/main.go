@@ -29,7 +29,6 @@ import (
 // packages lists the public surface in print order: import path suffix and
 // directory relative to the module root.
 var packages = []struct{ path, dir string }{
-	{"robustsample", "."},
 	{"robustsample/sketch", "sketch"},
 	{"robustsample/quantile", "quantile"},
 	{"robustsample/topk", "topk"},

@@ -17,18 +17,23 @@ package main
 import (
 	"fmt"
 	"math"
-	"robustsample"
 	"slices"
+
+	"robustsample/internal/adversary"
+	"robustsample/internal/core"
+	"robustsample/internal/game"
+	"robustsample/internal/rng"
+	"robustsample/internal/setsystem"
 )
 
 func main() {
 	const n = 20000
 	p := 4 * math.Log(float64(n)) / float64(n) // far below the Thm 1.2 rate
 
-	r := robustsample.NewRNG(7)
-	res := robustsample.RunBisectionAttackBernoulli(n, p, r)
+	r := rng.New(7)
+	res := adversary.RunExactBisectionBernoulli(n, p, r)
 
-	sys := robustsample.NewPrefixes(int64(n))
+	sys := setsystem.NewPrefixes(int64(n))
 	d := sys.MaxDiscrepancy(res.Stream, res.Sample)
 
 	fmt.Printf("stream length n = %d, Bernoulli rate p = %.5f\n", n, p)
@@ -49,11 +54,11 @@ func main() {
 	// because within any realistic (bounded) universe the attack runs out
 	// of precision. Demonstrate with a bounded-universe adaptive game.
 	universe := int64(1) << 20
-	params := robustsample.Params{Eps: 0.2, Delta: 0.1, N: n}
-	bsys := robustsample.NewPrefixes(universe)
-	robust := robustsample.NewRobustBernoulli(params, bsys)
-	adv := robustsample.NewBisectionAttack(universe, math.Log(float64(n))/float64(n))
-	out := robustsample.RunGame(robust, adv, bsys, n, params.Eps, r)
+	params := core.Params{Eps: 0.2, Delta: 0.1, N: n}
+	bsys := setsystem.NewPrefixes(universe)
+	robust := core.NewRobustBernoulli(params, bsys)
+	adv := adversary.NewBisection(universe, math.Log(float64(n))/float64(n))
+	out := game.Run(robust, adv, bsys, n, params.Eps, r)
 	fmt.Printf("\nsame attack vs Theorem 1.2-sized sampler on U = [2^20]:\n")
 	fmt.Printf("approximation error = %.4f (target eps = %.2f) ok=%v\n",
 		out.Discrepancy.Err, params.Eps, out.OK)

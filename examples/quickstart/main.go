@@ -14,7 +14,8 @@ package main
 import (
 	"fmt"
 
-	"robustsample"
+	"robustsample/internal/rng"
+	"robustsample/internal/setsystem"
 	"robustsample/sketch"
 )
 
@@ -40,7 +41,7 @@ func main() {
 
 	// Feed a stream. Here it is a skewed static workload; the guarantee
 	// would be the same against any adaptive choice.
-	r := robustsample.NewRNG(42)
+	r := rng.New(42)
 	stream := make([]int64, n)
 	for i := range stream {
 		// Mixture: mostly low values, occasional high spikes.
@@ -54,9 +55,9 @@ func main() {
 		panic(err)
 	}
 
-	// Exact verdict via the facade's set system against the encoded view
+	// Exact verdict via the prefix set system against the encoded view
 	// (the identity universe encodes values as themselves).
-	sys := robustsample.NewPrefixes(universe)
+	sys := setsystem.NewPrefixes(universe)
 	d := sys.MaxDiscrepancy(stream, res.EncodedView())
 	fmt.Printf("sample size |S| = %d\n", res.Len())
 	fmt.Printf("exact approximation error = %.4f (target eps = %.2f)\n", d.Err, eps)

@@ -208,3 +208,14 @@ func TestRequiredLogUniverseScale(t *testing.T) {
 		t.Fatalf("required ln N = %v exceeds paper ceiling", got)
 	}
 }
+
+// BenchmarkExactBisectionAttack measures the exact unbounded-universe attack
+// against ReservoirSample(20).
+func BenchmarkExactBisectionAttack(b *testing.B) {
+	root := rng.New(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		RunExactBisectionReservoir(10000, 20, root)
+	}
+}

@@ -11,7 +11,6 @@ import (
 	"robustsample/internal/cluster"
 	"robustsample/internal/core"
 	"robustsample/internal/detsamp"
-	"robustsample/internal/distsim"
 	"robustsample/internal/game"
 	"robustsample/internal/heavyhitter"
 	"robustsample/internal/quantile"
@@ -19,6 +18,7 @@ import (
 	"robustsample/internal/rng"
 	"robustsample/internal/sampler"
 	"robustsample/internal/setsystem"
+	"robustsample/internal/shard"
 	"robustsample/internal/stats"
 )
 
@@ -288,9 +288,12 @@ func ExpE9(cfg Config) *Table {
 	return t
 }
 
-// ExpE12 reproduces the distributed-database illustration: per-server
-// representativeness under benign, drifting, and adaptive workloads, with
-// the bounded-universe defense row.
+// ExpE12 reproduces the distributed-database illustration of Section 1.2:
+// queries are load-balanced uniformly at random across K servers, so each
+// server's substream is a Bernoulli(1/K) sample of the full stream. It
+// measures the target server's representativeness (the KS distance between
+// its substream and the full stream) under benign, drifting and adaptive
+// workloads, with the bounded-universe defense row.
 func ExpE12(cfg Config) *Table {
 	t := &Table{
 		ID:      "E12",
@@ -302,20 +305,20 @@ func ExpE12(cfg Config) *Table {
 	n := cfg.scaled(20000, 2000)
 	logCard := math.Log(float64(expUniverse))
 	for _, k := range []int{4, 8} {
-		predicted := distsim.PredictedEps(k, n, logCard, 0.1)
+		predicted := predictedRoutingEps(k, n, logCard, 0.1)
 		runs := []struct {
 			name string
-			run  func(r *rng.RNG) distsim.Outcome
+			run  func(r *rng.RNG) *shard.Engine
 		}{
-			{"uniform", func(r *rng.RNG) distsim.Outcome { return distsim.RunUniform(k, n, expUniverse, r) }},
-			{"drift", func(r *rng.RNG) distsim.Outcome { return distsim.RunDrift(k, n, expUniverse, r) }},
-			{"adaptive-unbounded", func(r *rng.RNG) distsim.Outcome { return distsim.RunAdaptiveAttack(k, n, r) }},
-			{"adaptive-bounded-U", func(r *rng.RNG) distsim.Outcome { return distsim.RunBoundedAdaptiveAttack(k, n, expUniverse, r) }},
+			{"uniform", func(r *rng.RNG) *shard.Engine { return routeUniform(k, n, expUniverse, r) }},
+			{"drift", func(r *rng.RNG) *shard.Engine { return routeDrift(k, n, expUniverse, r) }},
+			{"adaptive-unbounded", func(r *rng.RNG) *shard.Engine { return routeAdaptiveAttack(k, n, r) }},
+			{"adaptive-bounded-U", func(r *rng.RNG) *shard.Engine { return routeBoundedAdaptiveAttack(k, n, expUniverse, r) }},
 		}
 		for _, ru := range runs {
 			kss := make([]float64, cfg.trials())
 			cfg.forEachTrial(root, func(trial int, r *rng.RNG) {
-				kss[trial] = ru.run(r).TargetKS
+				kss[trial] = serverKS(ru.run(r), 0)
 			})
 			sum := stats.Summarize(kss)
 			t.AddRow(ru.name, k, n, sum.Mean, sum.Max, predicted)
@@ -325,6 +328,102 @@ func ExpE12(cfg Config) *Table {
 		"expected shape: uniform/drift/bounded rows stay below predicted-eps; the unbounded adaptive client drives the target server's KS toward 1 - 1/K",
 		"the bounded row is the paper's answer to 'is random sampling a risk?': with realistic (bounded) universes, Theorem 1.2 caps the damage")
 	return t
+}
+
+// newRoutingCluster returns E12's cluster: a routing-only shard engine
+// sending each query to one of k servers uniformly at random and recording
+// every server's substream. Routing draws from streams split off r.
+func newRoutingCluster(k int, r *rng.RNG) *shard.Engine {
+	return shard.New(shard.Config{Shards: k, Router: shard.Uniform{}, RecordStreams: true}, r)
+}
+
+// serverKS returns the KS distance between server i's substream and the
+// full stream; 0 is perfectly representative.
+func serverKS(c *shard.Engine, i int) float64 {
+	return stats.KSDistanceInt64(c.Stream(), c.Substream(i))
+}
+
+// predictedRoutingEps inverts the Theorem 1.2 Bernoulli bound for routing
+// rate p = 1/k: the eps at which a server's substream is an
+// eps-approximation with probability 1-delta over a universe with
+// log-cardinality logCard,
+//
+//	eps = sqrt( 10 (ln|R| + ln(4/delta)) * k / n ).
+func predictedRoutingEps(k, n int, logCard, delta float64) float64 {
+	if k < 2 || n < 1 {
+		panic("bench: bad cluster parameters")
+	}
+	if delta <= 0 || delta >= 1 {
+		panic("bench: bad delta")
+	}
+	return math.Sqrt(10 * (logCard + math.Log(4/delta)) * float64(k) / float64(n))
+}
+
+// routeUniform routes n i.i.d. uniform queries over [1, universe].
+func routeUniform(k, n int, universe int64, r *rng.RNG) *shard.Engine {
+	c := newRoutingCluster(k, r)
+	for i := 0; i < n; i++ {
+		c.Offer(1 + r.Int63n(universe))
+	}
+	return c
+}
+
+// routeDrift routes n queries whose distribution drifts linearly across
+// the universe (environmental change, not adversarial intent): query i is
+// uniform over a window centered at (i/n)*universe.
+func routeDrift(k, n int, universe int64, r *rng.RNG) *shard.Engine {
+	c := newRoutingCluster(k, r)
+	window := max(universe/10, 1)
+	for i := 0; i < n; i++ {
+		center := int64(float64(i) / float64(n) * float64(universe))
+		lo := max(center-window/2, 1)
+		hi := min(lo+window, universe)
+		c.Offer(lo + r.Int63n(hi-lo+1))
+	}
+	return c
+}
+
+// routeAdaptiveAttack runs the Figure-3 bisection attack against server 0
+// over an unbounded query universe: the client observes which server each
+// query landed on (admission = "landed on server 0") and picks the next
+// query accordingly. Routing stays uniformly random; only the queries are
+// adversarial.
+func routeAdaptiveAttack(k, n int, r *rng.RNG) *shard.Engine {
+	routes := make([]int, n)
+	res := adversary.RunExactBisectionFunc(n, func(round int) bool {
+		s := r.Intn(k)
+		routes[round-1] = s
+		return s == 0
+	})
+	c := newRoutingCluster(k, r)
+	for i, x := range res.Stream {
+		c.RouteTo(x, routes[i])
+	}
+	return c
+}
+
+// routeBoundedAdaptiveAttack runs the same client over the bounded
+// universe [1, universe] with the int64 bisection adversary, which keeps
+// submitting boundary values once it exhausts its precision: the
+// hash-discretized-queries defense row.
+func routeBoundedAdaptiveAttack(k, n int, universe int64, r *rng.RNG) *shard.Engine {
+	pp := math.Max(1/float64(k), math.Log(float64(n))/float64(n))
+	if pp >= 1 {
+		pp = 0.5
+	}
+	bi := adversary.NewBisection(universe, pp)
+	bi.Reset()
+	c := newRoutingCluster(k, r)
+	lastAdmitted := false
+	var history []int64
+	for i := 1; i <= n; i++ {
+		obs := game.Observation{Round: i, N: n, History: history, LastAdmitted: lastAdmitted}
+		x := bi.Next(obs, r)
+		history = append(history, x)
+		s, _ := c.Offer(x)
+		lastAdmitted = s == 0
+	}
+	return c
 }
 
 // ExpE13 reproduces the clustering-acceleration pipeline: k-means on a

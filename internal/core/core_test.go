@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -193,6 +194,21 @@ func TestEstimateRobustnessDeterministic(t *testing.T) {
 	}
 }
 
+func TestEstimateRobustnessCountsTrials(t *testing.T) {
+	p := Params{Eps: 0.3, Delta: 0.2, N: 500}
+	for _, trials := range []int{1, 5} {
+		est := EstimateRobustness(
+			func() game.Sampler { return sampler.NewReservoir[int64](60) },
+			func() game.Adversary { return adversary.NewStaticUniform(1 << 16) },
+			setsystem.NewPrefixes(1<<16), p, trials, rng.New(5),
+		)
+		if est.Failure.Trials != trials || est.Errors.N != trials {
+			t.Fatalf("estimate counted %d trials and %d errors, want %d",
+				est.Failure.Trials, est.Errors.N, trials)
+		}
+	}
+}
+
 func TestEstimateRobustnessPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -234,16 +250,20 @@ func TestStaticContinuousSmallerThanAdaptive(t *testing.T) {
 	// Theorem 1.4 "Moreover": static continuous robustness needs only
 	// the VC term, which for prefix systems over large universes is far
 	// below ln|R|.
-	p := Params{Eps: 0.1, Delta: 0.1, N: 1 << 30}
 	sys := setsystem.NewPrefixes(1 << 40)
-	static := StaticContinuousReservoirSize(p, sys.VCDim())
-	adaptive := ContinuousReservoirSize(p, sys.LogCardinality())
-	if static >= adaptive {
-		t.Fatalf("static continuous k=%d should be < adaptive k=%d", static, adaptive)
-	}
-	// And it still exceeds the plain static (non-continuous) size.
-	if static <= StaticReservoirSize(p, sys.VCDim()) {
-		t.Fatal("continuous static should cost more than plain static")
+	for _, n := range []int{1 << 20, 1 << 30} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			p := Params{Eps: 0.1, Delta: 0.1, N: n}
+			static := StaticContinuousReservoirSize(p, sys.VCDim())
+			adaptive := ContinuousReservoirSize(p, sys.LogCardinality())
+			if static >= adaptive {
+				t.Fatalf("static continuous k=%d should be < adaptive k=%d", static, adaptive)
+			}
+			// And it still exceeds the plain static (non-continuous) size.
+			if static <= StaticReservoirSize(p, sys.VCDim()) {
+				t.Fatal("continuous static should cost more than plain static")
+			}
+		})
 	}
 }
 

@@ -1,4 +1,4 @@
-package robustsample
+package core_test
 
 // Integration tests exercising full pipelines across modules: parameter
 // selection -> adaptive game -> exact verdict, and the end-to-end shapes of
@@ -8,6 +8,13 @@ package robustsample
 import (
 	"math"
 	"testing"
+
+	"robustsample/internal/adversary"
+	"robustsample/internal/core"
+	"robustsample/internal/game"
+	"robustsample/internal/rng"
+	"robustsample/internal/sampler"
+	"robustsample/internal/setsystem"
 )
 
 // TestTheorem12EndToEnd plays the full adaptive game at the Theorem 1.2
@@ -16,17 +23,17 @@ import (
 func TestTheorem12EndToEnd(t *testing.T) {
 	const n = 3000
 	universe := int64(1) << 18
-	p := Params{Eps: 0.25, Delta: 0.15, N: n}
-	sys := NewPrefixes(universe)
-	k := ReservoirSize(p, sys.LogCardinality())
+	p := core.Params{Eps: 0.25, Delta: 0.15, N: n}
+	sys := setsystem.NewPrefixes(universe)
+	k := core.ReservoirSize(p, sys.LogCardinality())
 
-	for _, mkAdv := range []func() Adversary{
-		func() Adversary { return NewStaticUniformAdversary(universe) },
-		func() Adversary { return NewBisectionAttack(universe, math.Log(float64(n))/float64(n)) },
+	for _, mkAdv := range []func() game.Adversary{
+		func() game.Adversary { return adversary.NewStaticUniform(universe) },
+		func() game.Adversary { return adversary.NewBisection(universe, math.Log(float64(n))/float64(n)) },
 	} {
-		est := EstimateRobustness(
-			func() Sampler { return NewReservoir(k) },
-			mkAdv, sys, p, 20, NewRNG(101),
+		est := core.EstimateRobustness(
+			func() game.Sampler { return sampler.NewReservoir[int64](k) },
+			mkAdv, sys, p, 20, rng.New(101),
 		)
 		if est.Failure.Rate() > p.Delta+0.2 {
 			t.Fatalf("robust reservoir failed %v of games vs %s",
@@ -39,13 +46,13 @@ func TestTheorem12EndToEnd(t *testing.T) {
 // equals 1 - |S|/n when the sample is non-empty.
 func TestTheorem13EndToEnd(t *testing.T) {
 	const n = 3000
-	r := NewRNG(202)
+	r := rng.New(202)
 	for trial := 0; trial < 10; trial++ {
-		res := RunBisectionAttackBernoulli(n, 0.01, r)
+		res := adversary.RunExactBisectionBernoulli(n, 0.01, r)
 		if len(res.Sample) == 0 {
 			continue
 		}
-		d := NewPrefixes(int64(n)).MaxDiscrepancy(res.Stream, res.Sample)
+		d := setsystem.NewPrefixes(int64(n)).MaxDiscrepancy(res.Stream, res.Sample)
 		want := 1 - float64(len(res.Sample))/float64(n)
 		if math.Abs(d.Err-want) > 1e-9 {
 			t.Fatalf("attack error %v, exact law predicts %v", d.Err, want)
@@ -58,16 +65,16 @@ func TestTheorem13EndToEnd(t *testing.T) {
 func TestTheorem14EndToEnd(t *testing.T) {
 	const n = 2000
 	universe := int64(1) << 16
-	p := Params{Eps: 0.3, Delta: 0.15, N: n}
-	sys := NewPrefixes(universe)
-	k := ContinuousReservoirSize(p, sys.LogCardinality())
-	cps := Checkpoints(k, n, p.Eps/4)
+	p := core.Params{Eps: 0.3, Delta: 0.15, N: n}
+	sys := setsystem.NewPrefixes(universe)
+	k := core.ContinuousReservoirSize(p, sys.LogCardinality())
+	cps := game.MustCheckpoints(k, n, p.Eps/4)
 
 	fails := 0
-	root := NewRNG(303)
+	root := rng.New(303)
 	const trials = 15
 	for trial := 0; trial < trials; trial++ {
-		res := RunContinuousGame(NewReservoir(k), NewStaticUniformAdversary(universe),
+		res := game.RunContinuous(sampler.NewReservoir[int64](k), adversary.NewStaticUniform(universe),
 			sys, n, p.Eps, cps, root)
 		if !res.OK {
 			fails++
@@ -102,13 +109,13 @@ func TestCrossoverShape(t *testing.T) {
 	if large > n {
 		large = n
 	}
-	root := NewRNG(404)
+	root := rng.New(404)
 	meanErr := func(k int) float64 {
 		sum := 0.0
 		const trials = 8
 		for i := 0; i < trials; i++ {
-			res := RunBisectionAttackReservoir(n, k, root)
-			d := NewPrefixes(int64(n)).MaxDiscrepancy(res.Stream, res.Sample)
+			res := adversary.RunExactBisectionReservoir(n, k, root)
+			d := setsystem.NewPrefixes(int64(n)).MaxDiscrepancy(res.Stream, res.Sample)
 			sum += d.Err
 		}
 		return sum / trials
@@ -124,21 +131,21 @@ func TestCrossoverShape(t *testing.T) {
 // TestSampleSizeMonotonicity: robust sizes behave monotonically in their
 // arguments across the public calculators.
 func TestSampleSizeMonotonicity(t *testing.T) {
-	base := Params{Eps: 0.1, Delta: 0.1, N: 1 << 30}
+	base := core.Params{Eps: 0.1, Delta: 0.1, N: 1 << 30}
 	logR := 20.0
-	if ReservoirSize(Params{Eps: 0.05, Delta: 0.1, N: base.N}, logR) <= ReservoirSize(base, logR) {
+	if core.ReservoirSize(core.Params{Eps: 0.05, Delta: 0.1, N: base.N}, logR) <= core.ReservoirSize(base, logR) {
 		t.Fatal("smaller eps must need larger k")
 	}
-	if ReservoirSize(Params{Eps: 0.1, Delta: 0.01, N: base.N}, logR) <= ReservoirSize(base, logR) {
+	if core.ReservoirSize(core.Params{Eps: 0.1, Delta: 0.01, N: base.N}, logR) <= core.ReservoirSize(base, logR) {
 		t.Fatal("smaller delta must need larger k")
 	}
-	if ReservoirSize(base, 40) <= ReservoirSize(base, logR) {
+	if core.ReservoirSize(base, 40) <= core.ReservoirSize(base, logR) {
 		t.Fatal("larger ln|R| must need larger k")
 	}
-	if BernoulliRate(base, 40) <= BernoulliRate(base, logR) {
+	if core.BernoulliRate(base, 40) <= core.BernoulliRate(base, logR) {
 		t.Fatal("larger ln|R| must need larger p")
 	}
-	if ContinuousReservoirSize(base, logR) <= ReservoirSize(base, logR) {
+	if core.ContinuousReservoirSize(base, logR) <= core.ReservoirSize(base, logR) {
 		t.Fatal("continuous robustness must cost more")
 	}
 }
@@ -148,8 +155,8 @@ func TestSampleSizeMonotonicity(t *testing.T) {
 // game matches what the verdict used via the exact law of densities.
 func TestGameVerdictConsistency(t *testing.T) {
 	universe := int64(1 << 14)
-	res := RunGame(NewReservoir(64), NewStaticUniformAdversary(universe),
-		NewIntervals(universe), 1500, 0.4, NewRNG(505))
+	res := game.Run(sampler.NewReservoir[int64](64), adversary.NewStaticUniform(universe),
+		setsystem.NewIntervals(universe), 1500, 0.4, rng.New(505))
 	// Recompute the witness density gap by hand.
 	streamIn, sampleIn := 0, 0
 	for _, x := range res.Stream {
@@ -175,23 +182,68 @@ func TestGameVerdictConsistency(t *testing.T) {
 func TestBernoulliVsReservoirAgreement(t *testing.T) {
 	const n = 10000
 	universe := int64(1 << 16)
-	sys := NewPrefixes(universe)
-	root := NewRNG(606)
+	sys := setsystem.NewPrefixes(universe)
+	root := rng.New(606)
 	k := 1000
 	p := float64(k) / n
 
-	errOf := func(mk func() Sampler) float64 {
+	errOf := func(mk func() game.Sampler) float64 {
 		sum := 0.0
 		const trials = 10
 		for i := 0; i < trials; i++ {
-			res := RunGame(mk(), NewStaticUniformAdversary(universe), sys, n, 1, root)
+			res := game.Run(mk(), adversary.NewStaticUniform(universe), sys, n, 1, root)
 			sum += res.Discrepancy.Err
 		}
 		return sum / trials
 	}
-	be := errOf(func() Sampler { return NewBernoulli(p) })
-	re := errOf(func() Sampler { return NewReservoir(k) })
+	be := errOf(func() game.Sampler { return sampler.NewBernoulli[int64](p) })
+	re := errOf(func() game.Sampler { return sampler.NewReservoir[int64](k) })
 	if be > 3*re+0.02 || re > 3*be+0.02 {
 		t.Fatalf("samplers disagree widely: bernoulli %v vs reservoir %v", be, re)
+	}
+}
+
+// TestQuickstartPipeline runs the quickstart flow: size a reservoir per
+// Theorem 1.2, feed it a stream, and check the sample is an
+// eps-approximation under both verdict entry points.
+func TestQuickstartPipeline(t *testing.T) {
+	params := core.Params{Eps: 0.2, Delta: 0.1, N: 5000}
+	sys := setsystem.NewPrefixes(1 << 20)
+	res := core.NewRobustReservoir(params, sys)
+	r := rng.New(42)
+	stream := make([]int64, params.N)
+	for i := range stream {
+		stream[i] = 1 + r.Int63n(1<<20)
+		res.Offer(stream[i], r)
+	}
+	d := sys.MaxDiscrepancy(stream, res.View())
+	if d.Err > params.Eps {
+		t.Fatalf("robust reservoir error %v exceeds eps %v", d.Err, params.Eps)
+	}
+	if !setsystem.IsEpsApproximation(sys, stream, res.View(), params.Eps) {
+		t.Fatal("IsEpsApproximation disagrees with MaxDiscrepancy")
+	}
+}
+
+// TestRunGameBenign: against a static uniform stream an Algorithm R
+// reservoir plays all n rounds and wins at a loose eps.
+func TestRunGameBenign(t *testing.T) {
+	const n = 2000
+	universe := int64(1 << 16)
+	res := game.Run(sampler.NewReservoir[int64](50), adversary.NewStaticUniform(universe),
+		setsystem.NewPrefixes(universe), n, 0.5, rng.New(1))
+	if len(res.Stream) != n || !res.OK {
+		t.Fatalf("Algorithm R benign game: %v", res)
+	}
+}
+
+// TestAlgorithmLGameBenign: an Algorithm L reservoir plays the same game,
+// keeps exactly k elements, and wins it.
+func TestAlgorithmLGameBenign(t *testing.T) {
+	universe := int64(1 << 16)
+	res := game.Run(sampler.NewReservoirL[int64](25), adversary.NewStaticUniform(universe),
+		setsystem.NewPrefixes(universe), 2000, 0.9, rng.New(9))
+	if !res.OK || len(res.Sample) != 25 {
+		t.Fatalf("Algorithm L benign game: %v", res)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"robustsample/internal/rng"
+	"robustsample/internal/stats"
 )
 
 // This file implements the martingale constructions of Section 4 as
@@ -128,7 +129,7 @@ func (m *BernoulliMartingale) VarianceBudget() float64 {
 // FreedmanTail bounds Pr[|Z_n| >= lambda] per Lemma 3.3 with the realized
 // variance budget and the worst-case step bound 1/(np).
 func (m *BernoulliMartingale) FreedmanTail(lambda float64) float64 {
-	return freedmanTail(lambda, m.VarianceBudget(), 1/(float64(m.N)*m.P))
+	return stats.FreedmanBound(lambda, m.VarianceBudget(), 1/(float64(m.N)*m.P))
 }
 
 // ReservoirMartingale tracks Z_i for reservoir sampling with memory K, for a
@@ -225,7 +226,7 @@ func (m *ReservoirMartingale) VarianceBudget() float64 {
 // FreedmanTail bounds Pr[|Z_n| >= lambda] per Lemma 3.3 with the realized
 // variance budget and step bound n/k.
 func (m *ReservoirMartingale) FreedmanTail(lambda float64) float64 {
-	return freedmanTail(lambda, m.VarianceBudget(), float64(m.round)/float64(m.K))
+	return stats.FreedmanBound(lambda, m.VarianceBudget(), float64(m.round)/float64(m.K))
 }
 
 func maxStepViolation(steps []MartingaleStep) float64 {
@@ -247,17 +248,6 @@ func varianceBudget(steps []MartingaleStep) float64 {
 		sum += s.VarBound
 	}
 	return sum
-}
-
-func freedmanTail(lambda, sumVar, m float64) float64 {
-	if lambda <= 0 {
-		return 1
-	}
-	b := 2 * math.Exp(-lambda*lambda/(2*sumVar+m*lambda/3))
-	if b > 1 {
-		return 1
-	}
-	return b
 }
 
 // EmpiricalDrift estimates E[Z_i - Z_{i-1} | history] averaged over many

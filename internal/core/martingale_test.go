@@ -200,6 +200,43 @@ func TestReservoirMartingaleFreedman(t *testing.T) {
 	}
 }
 
+// TestFreedmanTailClosedForm pins each martingale's Lemma 3.3 inputs: the
+// realized variance budget and the Claim 4.2/4.3 step bound M, which is
+// 1/(np) for Bernoulli sampling and n/k for reservoir sampling.
+func TestFreedmanTailClosedForm(t *testing.T) {
+	closedForm := func(lambda, sumVar, m float64) float64 {
+		return math.Min(1, 2*math.Exp(-lambda*lambda/(2*sumVar+m*lambda/3)))
+	}
+	const n = 1000
+	t.Run("bernoulli", func(t *testing.T) {
+		r := rng.New(11)
+		m := NewBernoulliMartingale(n, 0.1, inHalf)
+		for i := 0; i < n; i++ {
+			m.Observe(1+r.Int63n(1000), r.Bernoulli(0.1))
+		}
+		for _, lambda := range []float64{0.1, 0.2, 0.3} {
+			if got, want := m.FreedmanTail(lambda), closedForm(lambda, m.VarianceBudget(), 1/(n*0.1)); got != want {
+				t.Fatalf("lambda=%v: tail %v, closed form %v", lambda, got, want)
+			}
+		}
+	})
+	t.Run("reservoir", func(t *testing.T) {
+		r := rng.New(12)
+		const k = 20
+		res := sampler.NewReservoir[int64](k)
+		m := NewReservoirMartingale(k, inHalf)
+		for i := 0; i < n; i++ {
+			x := 1 + r.Int63n(1000)
+			m.Observe(x, res.Offer(x, r), res.View())
+		}
+		for _, lambda := range []float64{300, 400, 600} {
+			if got, want := m.FreedmanTail(lambda), closedForm(lambda, m.VarianceBudget(), float64(n)/k); got != want {
+				t.Fatalf("lambda=%v: tail %v, closed form %v", lambda, got, want)
+			}
+		}
+	})
+}
+
 func TestEmpiricalDriftPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -155,3 +155,15 @@ func batchTestSystems() []setsystem.SetSystem {
 		setsystem.NewSuffixes(u),
 	}
 }
+
+// BenchmarkAdaptiveGameEndToEnd measures one whole game: adversary, sampler
+// and exact verdict.
+func BenchmarkAdaptiveGameEndToEnd(b *testing.B) {
+	sys := setsystem.NewPrefixes(1 << 20)
+	root := rng.New(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Run(sampler.NewReservoir[int64](200), adversary.NewStaticUniform(1<<20), sys, 5000, 0.2, root)
+	}
+}

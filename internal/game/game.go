@@ -247,8 +247,7 @@ type ContinuousResult struct {
 }
 
 // ErrBadGamma is the sentinel reported by Checkpoints for a non-positive
-// growth factor. It is surfaced at the public boundary; the deprecated
-// facade converts it back to the historical panic.
+// growth factor; MustCheckpoints panics instead.
 var ErrBadGamma = errors.New("game: checkpoint gamma must be positive")
 
 // Checkpoints returns the geometric checkpoint schedule used in the proof of

@@ -17,6 +17,7 @@ import (
 	"slices"
 
 	"robustsample/internal/rng"
+	"robustsample/internal/sampler"
 )
 
 // Sentinel errors for constructor parameter validation. They are surfaced
@@ -29,8 +30,8 @@ var (
 	ErrBadEps = errors.New("heavyhitter: eps must be in (0, 1)")
 	// ErrNilRNG reports a missing random source.
 	ErrNilRNG = errors.New("heavyhitter: RNG must be non-nil")
-	// ErrBadThreshold reports inconsistent sticky-sampling parameters.
-	ErrBadThreshold = errors.New("heavyhitter: need 0 < eps < alpha <= 1 and 0 < delta < 1")
+	// ErrBadThreshold reports a reporting threshold outside (0, 1].
+	ErrBadThreshold = errors.New("heavyhitter: reporting threshold must be in (0, 1]")
 )
 
 // Summary is a streaming heavy-hitters algorithm.
@@ -56,10 +57,8 @@ type SampleHH struct {
 	// Eps is the error parameter; reporting uses alpha - Eps/3.
 	Eps float64
 
-	k      int
-	items  []int64
-	rounds int
-	rng    *rng.RNG
+	res *sampler.Reservoir[int64]
+	rng *rng.RNG
 }
 
 // NewSampleHH returns a reservoir-backed heavy-hitters summary with memory
@@ -75,38 +74,30 @@ func NewSampleHH(k int, eps float64, r *rng.RNG) (*SampleHH, error) {
 	if r == nil {
 		return nil, ErrNilRNG
 	}
-	return &SampleHH{Eps: eps, k: k, rng: r}, nil
+	return &SampleHH{Eps: eps, res: sampler.NewReservoir[int64](k), rng: r}, nil
 }
 
 // Name implements Summary.
 func (s *SampleHH) Name() string { return "sample" }
 
-// Insert implements Summary (reservoir Algorithm R).
-func (s *SampleHH) Insert(x int64) {
-	s.rounds++
-	if len(s.items) < s.k {
-		s.items = append(s.items, x)
-		return
-	}
-	if j := s.rng.Intn(s.rounds); j < s.k {
-		s.items[j] = x
-	}
-}
+// Insert implements Summary.
+func (s *SampleHH) Insert(x int64) { s.res.Offer(x, s.rng) }
 
 // Report implements Summary per Corollary 1.6: output all x in S with
 // d_x(S) >= alpha - eps/3.
 func (s *SampleHH) Report(alpha float64) []int64 {
-	if len(s.items) == 0 {
+	items := s.res.View()
+	if len(items) == 0 {
 		return nil
 	}
-	counts := make(map[int64]int, len(s.items))
-	for _, x := range s.items {
+	counts := make(map[int64]int, len(items))
+	for _, x := range items {
 		counts[x]++
 	}
 	cut := alpha - s.Eps/3
 	var out []int64
 	for x, c := range counts {
-		if float64(c)/float64(len(s.items)) >= cut {
+		if float64(c)/float64(len(items)) >= cut {
 			out = append(out, x)
 		}
 	}
@@ -116,27 +107,24 @@ func (s *SampleHH) Report(alpha float64) []int64 {
 
 // EstimateDensity implements Summary.
 func (s *SampleHH) EstimateDensity(x int64) float64 {
-	if len(s.items) == 0 {
+	items := s.res.View()
+	if len(items) == 0 {
 		return 0
 	}
 	c := 0
-	for _, v := range s.items {
+	for _, v := range items {
 		if v == x {
 			c++
 		}
 	}
-	return float64(c) / float64(len(s.items))
+	return float64(c) / float64(len(items))
 }
 
-// Items returns the current sample contents without copying; callers must
-// not mutate. This is the sampler state an adaptive adversary observes.
-func (s *SampleHH) Items() []int64 { return s.items }
-
 // Count implements Summary.
-func (s *SampleHH) Count() int { return s.rounds }
+func (s *SampleHH) Count() int { return s.res.Rounds() }
 
 // Size implements Summary.
-func (s *SampleHH) Size() int { return len(s.items) }
+func (s *SampleHH) Size() int { return s.res.Len() }
 
 // MisraGries is the deterministic frequent-elements summary with m
 // counters: every element with density > 1/(m+1) survives, and counts

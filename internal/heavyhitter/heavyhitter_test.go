@@ -2,11 +2,14 @@ package heavyhitter
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"robustsample/internal/rng"
+	"robustsample/internal/sampler"
 )
 
 // must unwraps a constructor result whose parameters are valid by
@@ -133,6 +136,58 @@ func TestSampleHHReportsObviousHeavy(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("element with density 0.5 not reported: %v", rep)
+	}
+}
+
+// TestSampleHHMatchesReservoir: the summary is internal/sampler's
+// Algorithm R plus density arithmetic. Fed the same stream and seed as a
+// bare reservoir, it reports from the same sample and leaves its RNG in the
+// same state.
+func TestSampleHHMatchesReservoir(t *testing.T) {
+	r := rng.New(41)
+	stream := make([]int64, 4000)
+	for i := range stream {
+		if r.Bernoulli(0.3) {
+			stream[i] = 7
+		} else {
+			stream[i] = 1 + r.Int63n(1<<10)
+		}
+	}
+	const alpha, eps = 0.2, 0.1
+	for _, k := range []int{1, 64, 5000} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			sr, rr := rng.New(42), rng.New(42)
+			hh := must(NewSampleHH(k, eps, sr))
+			ref := sampler.NewReservoir[int64](k)
+			for _, x := range stream {
+				hh.Insert(x)
+				ref.Offer(x, rr)
+			}
+			sample := ref.View()
+			if hh.Count() != len(stream) || hh.Size() != len(sample) {
+				t.Fatalf("count %d size %d, want %d and %d", hh.Count(), hh.Size(), len(stream), len(sample))
+			}
+			counts := map[int64]int{}
+			for _, x := range sample {
+				counts[x]++
+			}
+			var want []int64
+			for x, c := range counts {
+				if float64(c)/float64(len(sample)) >= alpha-eps/3 {
+					want = append(want, x)
+				}
+			}
+			slices.Sort(want)
+			if got := hh.Report(alpha); !slices.Equal(got, want) {
+				t.Fatalf("report %v, reservoir gives %v", got, want)
+			}
+			if got, d := hh.EstimateDensity(7), float64(counts[7])/float64(len(sample)); got != d {
+				t.Fatalf("density of 7 = %v, reservoir gives %v", got, d)
+			}
+			if sr.Uint64() != rr.Uint64() {
+				t.Fatal("summary and reservoir consumed different numbers of draws")
+			}
+		})
 	}
 }
 
@@ -311,87 +366,5 @@ func BenchmarkSampleHHInsert(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Insert(z.Draw(r))
-	}
-}
-
-func TestStickySamplingNoFalseNegativesStatic(t *testing.T) {
-	// Static guarantee: every true heavy hitter is reported with
-	// probability >= 1-delta. Run repeated trials and check the FN rate.
-	const trials = 30
-	alpha, eps, delta := 0.1, 0.05, 0.05
-	root := rng.New(30)
-	fns := 0
-	for trial := 0; trial < trials; trial++ {
-		r := root.Split()
-		ss := must(NewStickySampling(alpha, eps, delta, r.Split()))
-		stream := zipfStream(30000, r)
-		feed(ss, stream)
-		ev := Evaluate(stream, ss.Report(alpha), alpha, eps)
-		if ev.TrueHeavy == 0 {
-			t.Fatal("degenerate workload")
-		}
-		if ev.FalseNegatives > 0 {
-			fns++
-		}
-	}
-	if rate := float64(fns) / trials; rate > delta+0.15 {
-		t.Fatalf("false-negative trial rate %v, want <= ~delta", rate)
-	}
-}
-
-func TestStickySamplingUndercounts(t *testing.T) {
-	r := rng.New(31)
-	ss := must(NewStickySampling(0.1, 0.05, 0.1, r.Split()))
-	stream := zipfStream(30000, r)
-	feed(ss, stream)
-	for x, d := range trueDensities(stream) {
-		if est := ss.EstimateDensity(x); est > d+1e-12 {
-			t.Fatalf("sticky sampling overcounted %d: %v > %v", x, est, d)
-		}
-	}
-}
-
-func TestStickySamplingSpaceSublinear(t *testing.T) {
-	r := rng.New(32)
-	ss := must(NewStickySampling(0.05, 0.02, 0.1, r.Split()))
-	const n = 100000
-	for i := 0; i < n; i++ {
-		ss.Insert(1 + r.Int63n(1<<20))
-	}
-	// Expected space is ~ (2/eps) log(1/(alpha*delta)), far below n.
-	if ss.Size() > n/20 {
-		t.Fatalf("sticky sampling stored %d counters for n=%d", ss.Size(), n)
-	}
-	if ss.Count() != n {
-		t.Fatal("count wrong")
-	}
-}
-
-func TestStickySamplingValidation(t *testing.T) {
-	r := rng.New(33)
-	cases := []struct {
-		err  error
-		want error
-	}{
-		{errOf(NewStickySampling(0, 0.1, 0.1, r)), ErrBadThreshold},
-		{errOf(NewStickySampling(0.2, 0.3, 0.1, r)), ErrBadThreshold}, // eps >= alpha
-		{errOf(NewStickySampling(0.2, 0.1, 0, r)), ErrBadThreshold},
-		{errOf(NewStickySampling(0.2, 0.1, 0.1, nil)), ErrNilRNG},
-	}
-	for i, c := range cases {
-		if !errors.Is(c.err, c.want) {
-			t.Fatalf("case %d: err = %v, want %v", i, c.err, c.want)
-		}
-	}
-}
-
-func TestStickySamplingEmpty(t *testing.T) {
-	r := rng.New(34)
-	ss := must(NewStickySampling(0.1, 0.05, 0.1, r))
-	if ss.Report(0.1) != nil || ss.EstimateDensity(5) != 0 {
-		t.Fatal("empty summary should report nothing")
-	}
-	if ss.Name() != "sticky-sampling" {
-		t.Fatal("name")
 	}
 }

@@ -4,7 +4,8 @@
 // The paper's robust quantile sketch is simply a Bernoulli or reservoir
 // sample sized for the prefix set system (|R| = |U|): if the sample is an
 // eps-approximation, every rank query is answered within eps*n, for all
-// quantiles simultaneously. This package provides that sketch plus the two
+// quantiles simultaneously. This package provides the reservoir form of
+// that sketch (SampleSketch, over internal/sampler's Reservoir) plus the two
 // standard baselines the streaming literature (and the paper's related-work
 // section) compares against:
 //
@@ -24,6 +25,7 @@ import (
 	"sort"
 
 	"robustsample/internal/rng"
+	"robustsample/internal/sampler"
 )
 
 // Sketch is a streaming rank/quantile estimator over int64 values.
@@ -98,93 +100,29 @@ func (e *ExactRanker) Count() int { return len(e.values) }
 // Size implements Sketch.
 func (e *ExactRanker) Size() int { return len(e.values) }
 
-// SampleSketch answers rank queries from a maintained random sample; with a
-// Theorem 1.2-sized sample it is the paper's adversarially robust quantile
-// sketch (Corollary 1.5).
+// SampleSketch answers rank queries from a maintained reservoir sample;
+// with a Theorem 1.2-sized sample it is the paper's adversarially robust
+// quantile sketch (Corollary 1.5).
 type SampleSketch struct {
-	label string
-	rng   *rng.RNG
-	offer func(x int64, r *rng.RNG) bool
-	view  func() []int64
-	count int
+	res *sampler.Reservoir[int64]
+	rng *rng.RNG
 }
 
 // NewReservoirSketch wraps a reservoir sampler of memory k as a quantile
 // sketch; pass k from core.QuantileSketchSize for robustness.
 func NewReservoirSketch(k int, r *rng.RNG) *SampleSketch {
-	res := newReservoirInt64(k)
-	return &SampleSketch{
-		label: "reservoir-sample",
-		rng:   r,
-		offer: res.offer,
-		view:  res.viewFn,
-	}
+	return &SampleSketch{res: sampler.NewReservoir[int64](k), rng: r}
 }
-
-// NewBernoulliSketch wraps a Bernoulli sampler of rate p as a quantile
-// sketch; pass p from core.BernoulliRate for robustness.
-func NewBernoulliSketch(p float64, r *rng.RNG) *SampleSketch {
-	if p < 0 || p > 1 {
-		panic("quantile: Bernoulli rate must be in [0, 1]")
-	}
-	var items []int64
-	return &SampleSketch{
-		label: "bernoulli-sample",
-		rng:   r,
-		offer: func(x int64, r *rng.RNG) bool {
-			if r.Bernoulli(p) {
-				items = append(items, x)
-				return true
-			}
-			return false
-		},
-		view: func() []int64 { return items },
-	}
-}
-
-// minimal int64 reservoir to avoid importing the generic sampler here (the
-// sketch interface hides admission feedback anyway).
-type reservoirInt64 struct {
-	k      int
-	items  []int64
-	rounds int
-}
-
-func newReservoirInt64(k int) *reservoirInt64 {
-	if k < 1 {
-		panic("quantile: reservoir capacity must be >= 1")
-	}
-	return &reservoirInt64{k: k}
-}
-
-func (v *reservoirInt64) offer(x int64, r *rng.RNG) bool {
-	v.rounds++
-	if len(v.items) < v.k {
-		v.items = append(v.items, x)
-		return true
-	}
-	j := r.Intn(v.rounds)
-	if j < v.k {
-		v.items[j] = x
-		return true
-	}
-	return false
-}
-
-func (v *reservoirInt64) viewFn() []int64 { return v.items }
 
 // Name implements Sketch.
-func (s *SampleSketch) Name() string { return s.label }
+func (s *SampleSketch) Name() string { return "reservoir-sample" }
 
 // Insert implements Sketch.
-func (s *SampleSketch) Insert(x int64) {
-	s.offer(x, s.rng)
-	s.count++
-}
+func (s *SampleSketch) Insert(x int64) { s.res.Offer(x, s.rng) }
 
 // Rank implements Sketch: rank(x) ~= d_[min,x](S) * n.
 func (s *SampleSketch) Rank(x int64) float64 {
-	sample := s.view()
+	sample := s.res.View()
 	if len(sample) == 0 {
 		return 0
 	}
@@ -194,12 +132,12 @@ func (s *SampleSketch) Rank(x int64) float64 {
 			below++
 		}
 	}
-	return float64(below) / float64(len(sample)) * float64(s.count)
+	return float64(below) / float64(len(sample)) * float64(s.res.Rounds())
 }
 
 // Quantile implements Sketch: the q-quantile of the sample.
 func (s *SampleSketch) Quantile(q float64) int64 {
-	sample := append([]int64(nil), s.view()...)
+	sample := s.res.Sample()
 	if len(sample) == 0 {
 		panic("quantile: empty sketch")
 	}
@@ -215,10 +153,10 @@ func (s *SampleSketch) Quantile(q float64) int64 {
 }
 
 // Count implements Sketch.
-func (s *SampleSketch) Count() int { return s.count }
+func (s *SampleSketch) Count() int { return s.res.Rounds() }
 
 // Size implements Sketch.
-func (s *SampleSketch) Size() int { return len(s.view()) }
+func (s *SampleSketch) Size() int { return s.res.Len() }
 
 // MaxRankError returns the maximal |sketch.Rank(x) - exact rank| / n over
 // all distinct stream values, the all-quantiles error metric of Corollary

@@ -2,11 +2,13 @@ package quantile
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
 
 	"robustsample/internal/rng"
+	"robustsample/internal/sampler"
 	"testing/quick"
 )
 
@@ -82,27 +84,6 @@ func TestReservoirSketchRankAccuracy(t *testing.T) {
 	}
 }
 
-func TestBernoulliSketchRankAccuracy(t *testing.T) {
-	r := rng.New(2)
-	sk := NewBernoulliSketch(0.1, r.Split())
-	stream := uniformStream(20000, 1<<20, r)
-	for _, x := range stream {
-		sk.Insert(x)
-	}
-	if err := MaxRankError(sk, stream); err > 0.08 {
-		t.Fatalf("bernoulli sketch rank error %v too large", err)
-	}
-}
-
-func TestBernoulliSketchValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewBernoulliSketch(1.5, rng.New(1))
-}
-
 func TestSampleSketchMedian(t *testing.T) {
 	r := rng.New(3)
 	sk := NewReservoirSketch(500, r.Split())
@@ -113,6 +94,43 @@ func TestSampleSketchMedian(t *testing.T) {
 	med := sk.Quantile(0.5)
 	if med < n/2-n/10 || med > n/2+n/10 {
 		t.Fatalf("median %d too far from %d", med, n/2)
+	}
+}
+
+// TestSampleSketchMatchesReservoir: the sketch is internal/sampler's
+// Algorithm R plus rank arithmetic. Fed the same stream and seed as a bare
+// reservoir, it answers from the same sample and leaves its RNG in the same
+// state, so an experiment sharing that RNG draws the same numbers after it.
+func TestSampleSketchMatchesReservoir(t *testing.T) {
+	stream := uniformStream(3000, 1<<12, rng.New(31))
+	for _, k := range []int{1, 64, 5000} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			sr, rr := rng.New(32), rng.New(32)
+			sk := NewReservoirSketch(k, sr)
+			ref := sampler.NewReservoir[int64](k)
+			for _, x := range stream {
+				sk.Insert(x)
+				ref.Offer(x, rr)
+			}
+			want := ref.Sample()
+			slices.Sort(want)
+			if sk.Count() != len(stream) || sk.Size() != len(want) {
+				t.Fatalf("count %d size %d, want %d and %d", sk.Count(), sk.Size(), len(stream), len(want))
+			}
+			for _, x := range []int64{0, 1 << 9, 1 << 11, 1 << 12} {
+				below, _ := slices.BinarySearch(want, x+1)
+				wantRank := float64(below) / float64(len(want)) * float64(len(stream))
+				if got := sk.Rank(x); got != wantRank {
+					t.Fatalf("Rank(%d) = %v, reservoir gives %v", x, got, wantRank)
+				}
+			}
+			if got, med := sk.Quantile(0.5), want[max(len(want)/2-1, 0)]; got != med {
+				t.Fatalf("median %d, reservoir gives %d", got, med)
+			}
+			if sr.Uint64() != rr.Uint64() {
+				t.Fatal("sketch and reservoir consumed different numbers of draws")
+			}
+		})
 	}
 }
 

@@ -24,6 +24,16 @@ func TestPrefixesBasics(t *testing.T) {
 	}
 }
 
+func TestUniverseSizes(t *testing.T) {
+	for _, sys := range []SetSystem{NewPrefixes(10), NewIntervals(10), NewSingletons(10), NewSuffixes(10)} {
+		t.Run(sys.Name(), func(t *testing.T) {
+			if sys.UniverseSize() != 10 {
+				t.Fatalf("universe size %d, want 10", sys.UniverseSize())
+			}
+		})
+	}
+}
+
 func TestIntervalsBasics(t *testing.T) {
 	iv := NewIntervals(10)
 	if iv.VCDim() != 2 {

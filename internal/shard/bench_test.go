@@ -93,3 +93,41 @@ func benchReingest(b *testing.B, n int, universe int64) {
 		}
 	}
 }
+
+// BenchmarkShardedIngest measures ingest throughput vs shard count: one
+// fixed stream routed across S shards (uniform routing, per-shard
+// reservoirs), shards ingesting in parallel, with a merged checkpoint
+// verdict at the end of every pass. SetBytes reports stream bytes so ns/op
+// converts to MB/s; BENCH.md records the throughput-vs-S table.
+func BenchmarkShardedIngest(b *testing.B) {
+	const n = 1 << 18
+	const universe = int64(1) << 20
+	gen := rng.New(9)
+	stream := make([]int64, n)
+	for i := range stream {
+		stream[i] = 1 + gen.Int63n(universe)
+	}
+	for _, S := range []int{1, 2, 4, 8, 16} {
+		b.Run(fmt.Sprintf("S=%d", S), func(b *testing.B) {
+			eng := New(Config{
+				Shards: S,
+				Router: Uniform{},
+				System: setsystem.NewPrefixes(universe),
+				NewSampler: func(int) game.Sampler {
+					return sampler.NewReservoir[int64](2048)
+				},
+			}, nil)
+			root := rng.New(3)
+			b.SetBytes(8 * n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng.StartGame(root)
+				eng.Ingest(stream)
+				if eng.Verdict().Err < 0 {
+					b.Fatal("impossible verdict")
+				}
+			}
+		})
+	}
+}

@@ -42,7 +42,7 @@ type Config struct {
 	Router Router
 	// System is the set system global and per-shard verdicts are computed
 	// against. It is required unless NewSampler is nil (a routing-only
-	// engine, e.g. the distsim cluster).
+	// engine, e.g. experiment E12's query-routing cluster).
 	System setsystem.SetSystem
 	// NewSampler builds shard i's sampler. It is called once per shard at
 	// engine construction; samplers are Reset (never rebuilt) on

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"robustsample/internal/rng"
 	"robustsample/internal/sampler"
 	"robustsample/internal/setsystem"
+	"robustsample/internal/stats"
 )
 
 func TestRoundRobinSpreadsEvenly(t *testing.T) {
@@ -48,6 +50,24 @@ func TestUniformRoutesInRange(t *testing.T) {
 		s := u.Route(int64(i), i+1, 5, r)
 		if s < 0 || s >= 5 {
 			t.Fatalf("uniform routed out of range: %d", s)
+		}
+	}
+}
+
+// TestUniformRoutingBalanced: every shard's count under uniform routing is
+// within five standard deviations of n/S.
+func TestUniformRoutingBalanced(t *testing.T) {
+	u := Uniform{}
+	r := rng.New(2)
+	const n = 50000
+	counts := make([]int, 5)
+	for i := 0; i < n; i++ {
+		counts[u.Route(int64(i), i+1, 5, r)]++
+	}
+	want := float64(n) / 5
+	for i, c := range counts {
+		if math.Abs(float64(c)-want) > 5*math.Sqrt(want) {
+			t.Fatalf("shard %d received %d of %d, want ~%v", i, c, n, want)
 		}
 	}
 }
@@ -114,6 +134,23 @@ func TestRouteToRecordsAtExplicitShard(t *testing.T) {
 	}
 }
 
+func TestRouteToRejectsOutOfRangeShard(t *testing.T) {
+	eng := newTestEngine(3, 5, Uniform{}, 9)
+	for _, bad := range []int{-1, 3} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("RouteTo(shard %d) of a 3-shard engine did not panic", bad)
+				}
+			}()
+			eng.RouteTo(1, bad)
+		}()
+	}
+	if eng.Rounds() != 0 {
+		t.Fatalf("rejected RouteTo calls recorded %d rounds", eng.Rounds())
+	}
+}
+
 // TestShardVerdictMatchesLocalOneShot checks per-shard verdicts against the
 // one-shot oracle on the shard's own substream and sample.
 func TestShardVerdictMatchesLocalOneShot(t *testing.T) {
@@ -160,6 +197,99 @@ func TestGlobalSampleDrawsFromUnion(t *testing.T) {
 			t.Fatalf("global sample drew %d, not present in any shard sample", v)
 		}
 		union[v]--
+	}
+}
+
+// TestGlobalSampleClamped: asking for more than the shards hold returns the
+// whole union sample, both before the reservoirs fill and after.
+func TestGlobalSampleClamped(t *testing.T) {
+	r := rng.New(22)
+	eng := newUnionEngine(2, 10, r)
+	for i := 0; i < 5; i++ {
+		eng.Offer(int64(i))
+	}
+	if got := eng.GlobalSample(100, r); len(got) != 5 {
+		t.Fatalf("unfilled shards: global sample has %d elements, want all 5", len(got))
+	}
+	for i := 5; i < 1000; i++ {
+		eng.Offer(int64(i))
+	}
+	if got := eng.GlobalSample(100, r); len(got) != eng.SampleLen() || len(got) != 20 {
+		t.Fatalf("full shards: global sample has %d elements, want the 20 held", len(got))
+	}
+}
+
+// newUnionEngine is a uniform-routing engine over arbitrary int64 keys with
+// per-shard reservoirs of the given capacity: the [CTW16] coordinator
+// setting, where GlobalSample merges the shards' samples.
+func newUnionEngine(shards, capacity int, r *rng.RNG) *Engine {
+	return New(Config{
+		Shards: shards,
+		System: setsystem.NewPrefixes(math.MaxInt64),
+		NewSampler: func(int) game.Sampler {
+			return sampler.NewReservoir[int64](capacity)
+		},
+		RecordStreams: true,
+	}, r)
+}
+
+func TestGlobalSampleRepresentative(t *testing.T) {
+	r := rng.New(20)
+	eng := newUnionEngine(4, 1000, r)
+	for i := 0; i < 20000; i++ {
+		eng.Offer(1 + r.Int63n(1<<20))
+	}
+	global := eng.GlobalSample(2000, r)
+	if len(global) != 2000 {
+		t.Fatalf("global sample size %d", len(global))
+	}
+	if ks := stats.KSDistanceInt64(eng.Stream(), global); ks > 0.06 {
+		t.Fatalf("merged global sample KS %v too large", ks)
+	}
+}
+
+// TestGlobalVerdictOnUnionEngine: over the full int64 universe the merged
+// verdict still equals the one-shot MaxDiscrepancy on the whole stream
+// against the union of the reservoirs, and 2000 pooled slots over a benign
+// stream are comfortably representative.
+func TestGlobalVerdictOnUnionEngine(t *testing.T) {
+	r := rng.New(23)
+	eng := newUnionEngine(4, 500, r)
+	for i := 0; i < 20000; i++ {
+		eng.Offer(1 + r.Int63n(1<<20))
+	}
+	got := eng.Verdict()
+	want := setsystem.NewPrefixes(math.MaxInt64).MaxDiscrepancy(eng.Stream(), eng.Sample())
+	if got != want {
+		t.Fatalf("merged verdict %+v, one-shot %+v", got, want)
+	}
+	if got.Err > 0.1 {
+		t.Fatalf("benign union sample unexpectedly unrepresentative: %v", got.Err)
+	}
+}
+
+// TestGlobalSampleInclusionBalance: elements routed to different shards
+// must appear in the global sample at equal rates, so the first and second
+// halves of the stream are equally represented.
+func TestGlobalSampleInclusionBalance(t *testing.T) {
+	root := rng.New(21)
+	const n = 8000
+	low, total := 0, 0
+	for trial := 0; trial < 30; trial++ {
+		r := root.Split()
+		eng := newUnionEngine(3, 600, r)
+		for i := 0; i < n; i++ {
+			eng.Offer(int64(i))
+		}
+		for _, v := range eng.GlobalSample(300, r) {
+			total++
+			if v < n/2 {
+				low++
+			}
+		}
+	}
+	if frac := float64(low) / float64(total); frac < 0.45 || frac > 0.55 {
+		t.Fatalf("first-half fraction %v, want ~0.5", frac)
 	}
 }
 

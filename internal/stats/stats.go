@@ -1,10 +1,8 @@
 // Package stats provides the statistical machinery shared by the experiment
-// harness and the tests: summary statistics over repeated trials, empirical
-// CDFs and Kolmogorov-Smirnov distances, Wilson score confidence intervals
-// for failure probabilities, and calculators for the concentration bounds the
-// paper uses (Chernoff, Theorem 3.1; Freedman/McDiarmid martingale bound,
-// Lemma 3.3). Keeping the theoretical bounds in code lets every experiment
-// table print a "theory" column next to the measured one.
+// harness and the tests: summary statistics over repeated trials,
+// Kolmogorov-Smirnov distances, Wilson score confidence intervals for
+// failure probabilities, histograms, and the Freedman martingale tail bound
+// of Lemma 3.3 that internal/core's martingale trackers report.
 package stats
 
 import (
@@ -163,30 +161,6 @@ func WilsonInterval(k, n int, z float64) (lo, hi float64) {
 	return lo, hi
 }
 
-// ECDF is an empirical cumulative distribution function over float64 values.
-type ECDF struct {
-	sorted []float64
-}
-
-// NewECDF builds an ECDF from xs (copied and sorted).
-func NewECDF(xs []float64) *ECDF {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return &ECDF{sorted: s}
-}
-
-// At returns the fraction of observations <= x.
-func (e *ECDF) At(x float64) float64 {
-	if len(e.sorted) == 0 {
-		return 0
-	}
-	idx := sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(idx) / float64(len(e.sorted))
-}
-
-// Len returns the number of observations.
-func (e *ECDF) Len() int { return len(e.sorted) }
-
 // KSDistance returns the Kolmogorov-Smirnov distance between the empirical
 // distributions of a and b: sup_x |F_a(x) - F_b(x)|. This equals the maximal
 // density discrepancy over the prefix set system {(-inf, x]} and is the
@@ -241,23 +215,6 @@ func KSDistanceInt64(a, b []int64) float64 {
 	return KSDistance(fa, fb)
 }
 
-// ChernoffUpper bounds Pr[X >= (1+d)mu] for a sum of independent 0/1
-// variables with mean mu, per Theorem 3.1 of the paper.
-func ChernoffUpper(mu, d float64) float64 {
-	if d < 0 {
-		return 1
-	}
-	return math.Exp(-d * d * mu / (2 + 2*d/3))
-}
-
-// ChernoffLower bounds Pr[X <= (1-d)mu] per Theorem 3.1 of the paper.
-func ChernoffLower(mu, d float64) float64 {
-	if d < 0 || d > 1 {
-		return 1
-	}
-	return math.Exp(-d * d * mu / 2)
-}
-
 // FreedmanBound bounds Pr[|X_n - X_0| >= lambda] for a martingale with
 // per-step conditional variance bounds sigma2 (summed into sumVar) and
 // maximum step M, per Lemma 3.3 (Chung-Lu Theorem 6.1):
@@ -268,45 +225,6 @@ func FreedmanBound(lambda, sumVar, m float64) float64 {
 		return 1
 	}
 	b := 2 * math.Exp(-lambda*lambda/(2*sumVar+m*lambda/3))
-	if b > 1 {
-		return 1
-	}
-	return b
-}
-
-// BernoulliDeviationBound is the paper's Lemma 4.1(1) tail computation: for
-// Bernoulli sampling with rate p over an adaptive stream of length n, the
-// probability that |d_R(X) - d_R(S)| >= eps for one fixed R is at most
-//
-//	2 exp(-eps^2 n p / 9) + 2 exp(-eps^2 n p / 10),
-//
-// combining the martingale half (A_n vs B_n) and the Chernoff half
-// (|S| concentration). This is the per-range theory value the experiment
-// tables print.
-func BernoulliDeviationBound(eps float64, n int, p float64) float64 {
-	np := float64(n) * p
-	b := 2*math.Exp(-eps*eps*np/9) + 2*math.Exp(-eps*eps*np/10)
-	if b > 1 {
-		return 1
-	}
-	return b
-}
-
-// ReservoirDeviationBound is Lemma 4.1(2): for reservoir sampling with
-// memory k, Pr[|d_R(X) - d_R(S)| >= eps] <= 2 exp(-eps^2 k / 2) for one
-// fixed R.
-func ReservoirDeviationBound(eps float64, k int) float64 {
-	b := 2 * math.Exp(-eps*eps*float64(k)/2)
-	if b > 1 {
-		return 1
-	}
-	return b
-}
-
-// UnionBound multiplies a per-range failure bound by the number of ranges
-// and clamps to 1, mirroring the Theorem 1.2 union-bound step.
-func UnionBound(perRange float64, numRanges float64) float64 {
-	b := perRange * numRanges
 	if b > 1 {
 		return 1
 	}

@@ -135,31 +135,6 @@ func TestFailureRate(t *testing.T) {
 	}
 }
 
-func TestECDF(t *testing.T) {
-	e := NewECDF([]float64{1, 2, 2, 3})
-	cases := []struct {
-		x    float64
-		want float64
-	}{
-		{0, 0}, {1, 0.25}, {1.5, 0.25}, {2, 0.75}, {3, 1}, {4, 1},
-	}
-	for _, c := range cases {
-		if got := e.At(c.x); math.Abs(got-c.want) > 1e-12 {
-			t.Fatalf("ECDF(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-	if e.Len() != 4 {
-		t.Fatalf("Len = %d", e.Len())
-	}
-}
-
-func TestECDFEmpty(t *testing.T) {
-	e := NewECDF(nil)
-	if e.At(5) != 0 {
-		t.Fatal("empty ECDF should be 0 everywhere")
-	}
-}
-
 func TestKSIdentical(t *testing.T) {
 	a := []float64{1, 2, 3, 4}
 	if d := KSDistance(a, a); d != 0 {
@@ -222,18 +197,6 @@ func TestKSInt64MatchesFloat(t *testing.T) {
 	}
 }
 
-func TestChernoffMonotone(t *testing.T) {
-	if ChernoffUpper(100, 0.1) <= ChernoffUpper(100, 0.5) {
-		t.Fatal("Chernoff upper not decreasing in deviation")
-	}
-	if ChernoffLower(100, 0.1) <= ChernoffLower(100, 0.5) {
-		t.Fatal("Chernoff lower not decreasing in deviation")
-	}
-	if ChernoffUpper(100, -1) != 1 {
-		t.Fatal("negative deviation should give trivial bound")
-	}
-}
-
 func TestFreedmanBound(t *testing.T) {
 	// More variance => weaker (larger) bound.
 	if FreedmanBound(5, 1, 0.1) >= FreedmanBound(5, 10, 0.1) {
@@ -244,37 +207,6 @@ func TestFreedmanBound(t *testing.T) {
 	}
 	if b := FreedmanBound(1e9, 1, 0.000001); b > 1e-10 {
 		t.Fatalf("huge deviation should be tiny, got %v", b)
-	}
-}
-
-func TestDeviationBoundsClamp(t *testing.T) {
-	if b := BernoulliDeviationBound(0.001, 10, 0.001); b != 1 {
-		t.Fatalf("tiny sample should clamp to 1, got %v", b)
-	}
-	if b := ReservoirDeviationBound(0.001, 1); b != 1 {
-		t.Fatalf("tiny k should clamp to 1, got %v", b)
-	}
-	if b := ReservoirDeviationBound(0.5, 1000); b >= 1 {
-		t.Fatalf("large k should give nontrivial bound, got %v", b)
-	}
-}
-
-func TestReservoirBoundMatchesPaper(t *testing.T) {
-	// k = 2 ln(2/delta) / eps^2 should give exactly delta.
-	eps, delta := 0.1, 0.05
-	k := 2 * math.Log(2/delta) / (eps * eps)
-	got := ReservoirDeviationBound(eps, int(math.Ceil(k)))
-	if got > delta*1.0001 {
-		t.Fatalf("bound %v exceeds target delta %v", got, delta)
-	}
-}
-
-func TestUnionBound(t *testing.T) {
-	if UnionBound(0.001, 100) != 0.1 {
-		t.Fatal("union bound arithmetic wrong")
-	}
-	if UnionBound(0.5, 100) != 1 {
-		t.Fatal("union bound should clamp to 1")
 	}
 }
 

@@ -12,136 +12,40 @@ package shard
 import (
 	"context"
 
-	"robustsample/internal/runtime"
 	ishard "robustsample/internal/shard"
 )
 
-// ShardStatus is one shard's recovery state.
-type ShardStatus int
+// ShardStatus is one shard's recovery state: Healthy, or Degraded while
+// the shard has been restored from its latest checkpoint but has not yet
+// completed a clean apply.
+type ShardStatus = ishard.ShardStatus
 
 const (
 	// Healthy means the shard is applying normally.
-	Healthy ShardStatus = iota
-	// Degraded means the shard crashed and has been restored from its
-	// latest checkpoint but has not yet completed a clean apply.
-	Degraded
+	Healthy = ishard.Healthy
+	// Degraded means the shard is mid-recovery.
+	Degraded = ishard.Degraded
 )
 
-func (s ShardStatus) String() string {
-	if s == Healthy {
-		return "healthy"
-	}
-	return "degraded"
-}
-
-// ShardHealth is one shard's health entry.
-type ShardHealth struct {
-	// Status is the shard's current recovery state.
-	Status ShardStatus
-	// Crashes counts apply panics recovered on this shard.
-	Crashes uint64
-	// Restores counts checkpoint restores performed on this shard.
-	Restores uint64
-	// Checkpoints counts checkpoints taken (including the baseline).
-	Checkpoints uint64
-	// LostRounds counts elements lost on this shard: live-mode rollbacks
-	// plus elements in chunks dropped after the retry limit.
-	LostRounds uint64
-	// Rounds is the shard's applied substream length.
-	Rounds int
-}
+// ShardHealth is one shard's health entry: its status plus crash, restore,
+// checkpoint and lost-round counters and its applied substream length.
+type ShardHealth = ishard.ShardHealth
 
 // Health is a point-in-time view of the serving session built entirely
 // from atomic counters: reading it never touches a shard lock, so it is
 // always available, including while a shard consumer is wedged mid-apply.
-type Health struct {
-	// Shards holds one entry per shard, in shard order.
-	Shards []ShardHealth
-	// Crashes, Restores, Checkpoints and LostRounds aggregate the
-	// per-shard counters.
-	Crashes     uint64
-	Restores    uint64
-	Checkpoints uint64
-	LostRounds  uint64
-	// Supervised reports whether crash recovery is active
-	// (PipelineConfig.CheckpointEvery > 0).
-	Supervised bool
-}
-
-// Degraded reports whether any shard is currently mid-recovery.
-func (h Health) Degraded() bool {
-	for _, sh := range h.Shards {
-		if sh.Status != Healthy {
-			return true
-		}
-	}
-	return false
-}
+// Supervised reports whether crash recovery is active
+// (PipelineConfig.CheckpointEvery > 0).
+type Health = ishard.Health
 
 // Coverage reports what a degraded read actually answered over: which
-// shards were reachable within the query's wait bound, and the rounds the
-// answer reflects versus the rounds the session has accepted.
-type Coverage struct {
-	// Shards is the total shard count.
-	Shards int
-	// Included is how many shards answered within the wait bound.
-	Included int
-	// Stalled lists the shards skipped because their lock could not be
-	// taken in time (a consumer wedged mid-apply), in shard order.
-	Stalled []int
-	// Covered is the sum of the included shards' applied substream
-	// lengths — the rounds the answer actually reflects.
-	Covered int
-	// Routed is the session's accepted round count at query time
-	// (everything offered, applied or not), read after the shards are
-	// walked so that Covered <= Routed.
-	Routed int
-}
-
-// Complete reports whether every shard was included.
-func (c Coverage) Complete() bool { return c.Included == c.Shards }
-
-func fromInnerStatus(s ishard.ShardStatus) ShardStatus {
-	if s == ishard.Healthy {
-		return Healthy
-	}
-	return Degraded
-}
-
-func fromInnerHealth(h ishard.Health) Health {
-	out := Health{
-		Shards:      make([]ShardHealth, len(h.Shards)),
-		Crashes:     h.Crashes,
-		Restores:    h.Restores,
-		Checkpoints: h.Checkpoints,
-		LostRounds:  h.LostRounds,
-		Supervised:  h.Supervised,
-	}
-	for i, sh := range h.Shards {
-		out.Shards[i] = ShardHealth{
-			Status:      fromInnerStatus(sh.Status),
-			Crashes:     sh.Crashes,
-			Restores:    sh.Restores,
-			Checkpoints: sh.Checkpoints,
-			LostRounds:  sh.LostRounds,
-			Rounds:      sh.Rounds,
-		}
-	}
-	return out
-}
-
-func fromInnerCoverage(c ishard.Coverage) Coverage {
-	return Coverage{
-		Shards:   c.Shards,
-		Included: c.Included,
-		Stalled:  append([]int(nil), c.Stalled...),
-		Covered:  c.Covered,
-		Routed:   c.Routed,
-	}
-}
+// shards were reachable within the query's wait bound (Included, Stalled),
+// and the rounds the answer reflects (Covered) versus the rounds the
+// session has accepted (Routed).
+type Coverage = ishard.Coverage
 
 // Health returns the session's health report without taking any lock.
-func (s *Serving[T]) Health() Health { return fromInnerHealth(s.inner.Health()) }
+func (s *Serving[T]) Health() Health { return s.inner.Health() }
 
 // VerdictCovered is Verdict with graceful degradation: shards whose lock
 // cannot be taken within the session's QueryWait (a consumer wedged
@@ -153,7 +57,7 @@ func (s *Serving[T]) Health() Health { return fromInnerHealth(s.inner.Health()) 
 func (s *Serving[T]) VerdictCovered() (Verdict[T], Coverage, error) {
 	d, cov := s.inner.VerdictCovered()
 	v, err := s.e.decodeVerdict(d)
-	return v, fromInnerCoverage(cov), err
+	return v, cov, err
 }
 
 // SampleCovered is Sample with graceful degradation: the union sample over
@@ -164,11 +68,11 @@ func (s *Serving[T]) SampleCovered() ([]T, Coverage, error) {
 	for i, p := range ps {
 		x, err := s.e.u.Decode(p)
 		if err != nil {
-			return nil, fromInnerCoverage(cov), err
+			return nil, cov, err
 		}
 		out[i] = x
 	}
-	return out, fromInnerCoverage(cov), nil
+	return out, cov, nil
 }
 
 // GlobalSampleCovered is GlobalSample with graceful degradation: a uniform
@@ -185,11 +89,11 @@ func (s *Serving[T]) GlobalSampleCovered(k int) ([]T, Coverage, error) {
 	for i, p := range ps {
 		x, err := s.e.u.Decode(p)
 		if err != nil {
-			return nil, fromInnerCoverage(cov), err
+			return nil, cov, err
 		}
 		out[i] = x
 	}
-	return out, fromInnerCoverage(cov), nil
+	return out, cov, nil
 }
 
 // CloseContext is Close with a drain deadline: it starts the shutdown
@@ -201,12 +105,12 @@ func (s *Serving[T]) GlobalSampleCovered(k int) ([]T, Coverage, error) {
 func (s *Serving[T]) CloseContext(ctx context.Context) (Epoch, error) {
 	ep, err := s.inner.CloseCtx(ctx)
 	if err != nil {
-		return fromRuntimeEpoch(ep), err
+		return ep, err
 	}
 	s.once.Do(func() {
-		s.closeEp = runtime.Epoch{Seq: ep.Seq, Applied: ep.Applied}
+		s.closeEp = ep
 		s.e.srv.Store(nil)
 		close(s.done)
 	})
-	return fromRuntimeEpoch(s.closeEp), nil
+	return s.closeEp, nil
 }

@@ -10,6 +10,29 @@ import (
 	"robustsample/shard"
 )
 
+// TestHealthValueMethods pins the health vocabulary an operator reads: the
+// status names, Degraded over any shard mid-recovery, and Complete only
+// when every shard answered.
+func TestHealthValueMethods(t *testing.T) {
+	if shard.Healthy.String() != "healthy" || shard.Degraded.String() != "degraded" {
+		t.Fatalf("status names %q, %q", shard.Healthy, shard.Degraded)
+	}
+	h := shard.Health{Shards: []shard.ShardHealth{{Status: shard.Healthy}, {Status: shard.Healthy}}}
+	if h.Degraded() {
+		t.Fatal("all-healthy session reported degraded")
+	}
+	h.Shards[1].Status = shard.Degraded
+	if !h.Degraded() {
+		t.Fatal("session with a degraded shard reported healthy")
+	}
+	if !(shard.Coverage{Shards: 3, Included: 3}).Complete() {
+		t.Fatal("full coverage reported incomplete")
+	}
+	if (shard.Coverage{Shards: 3, Included: 2, Stalled: []int{1}}).Complete() {
+		t.Fatal("coverage with a stalled shard reported complete")
+	}
+}
+
 // TestServeSupervisedHealth runs a supervised public session (checkpoints
 // on, no faults) and pins the health and coverage surface: checkpoint
 // counters advance, round accounting is exact, and the covered query

@@ -88,12 +88,7 @@ func WithPipeline(cfg PipelineConfig) Option {
 // Epoch stamps a serving read barrier: Seq increases with every barrier
 // taken, and Applied counts the elements applied to shard state when the
 // barrier completed.
-type Epoch struct {
-	Seq     uint64
-	Applied uint64
-}
-
-func fromRuntimeEpoch(e runtime.Epoch) Epoch { return Epoch{Seq: e.Seq, Applied: e.Applied} }
+type Epoch = runtime.Epoch
 
 // Serving is a live concurrent ingest session over an Engine. Feed it
 // through Producer lanes; every query method is safe for concurrent use
@@ -107,7 +102,7 @@ type Serving[T any] struct {
 	qmu     sync.Mutex // guards coordRNG for GlobalSample and Snapshot
 	done    chan struct{}
 	once    sync.Once
-	closeEp runtime.Epoch
+	closeEp Epoch
 }
 
 // Producer is one ingest lane of a Serving session, owned by one goroutine
@@ -266,7 +261,7 @@ func (p *Producer[T]) Close() { p.inner.Close() }
 // in rotation, so Flush completes once the rotation can cover everything
 // offered — close lanes that are finished, or keep lanes evenly fed.
 func (s *Serving[T]) Flush() Epoch {
-	ep := fromRuntimeEpoch(s.inner.Flush())
+	ep := s.inner.Flush()
 	s.notifyEpoch(ep)
 	return ep
 }
@@ -362,7 +357,7 @@ func (s *Serving[T]) Snapshot() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.notifyEpoch(fromRuntimeEpoch(ep))
+	s.notifyEpoch(ep)
 	return out, nil
 }
 
@@ -374,7 +369,7 @@ func (s *Serving[T]) Close() Epoch {
 		s.closeEp = s.inner.Close()
 		s.e.srv.Store(nil)
 		close(s.done)
-		s.notifyEpoch(fromRuntimeEpoch(s.closeEp))
+		s.notifyEpoch(s.closeEp)
 	})
-	return fromRuntimeEpoch(s.closeEp)
+	return s.closeEp
 }

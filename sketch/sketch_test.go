@@ -6,7 +6,9 @@ import (
 	"slices"
 	"testing"
 
-	"robustsample"
+	"robustsample/internal/rng"
+	"robustsample/internal/sampler"
+	"robustsample/internal/setsystem"
 	"robustsample/sketch"
 )
 
@@ -18,7 +20,7 @@ func mustU[T any](u sketch.Universe[T], err error) sketch.Universe[T] {
 }
 
 func testStream(n int, universe int64, seed uint64) []int64 {
-	r := robustsample.NewRNG(seed)
+	r := rng.New(seed)
 	out := make([]int64, n)
 	for i := range out {
 		out[i] = 1 + r.Int63n(universe)
@@ -83,10 +85,11 @@ func TestOfferOutOfUniverse(t *testing.T) {
 	}
 }
 
-// TestFacadeDifferential proves the deprecated facade and the new Sketch[T]
-// surface are the same machine: same seed, same stream, per-element offers
-// => byte-identical samples AND byte-identical verdict tables (error and
-// witness at every checkpoint).
+// TestFacadeDifferential proves the Sketch[T] facade and the internal
+// Algorithm R sampler it wraps are the same machine: same seed, same
+// stream => identical admissions, byte-identical samples AND byte-identical
+// verdict tables (error and witness at every checkpoint), whether the
+// sketch is fed one element at a time or in batches.
 func TestFacadeDifferential(t *testing.T) {
 	const (
 		n        = 4000
@@ -95,39 +98,68 @@ func TestFacadeDifferential(t *testing.T) {
 		seed     = 1234
 	)
 	stream := testStream(n, universe, 99)
+	sys := setsystem.NewPrefixes(universe)
+	checkpoints := []int{500, 1000, 2000, n}
 
-	// Deprecated facade path: external RNG, int64 alias sampler.
-	facade := robustsample.NewReservoir(k)
-	fr := robustsample.NewRNG(seed)
-
-	// New surface: identity universe, sketch-owned RNG with the same seed.
-	u := mustU(sketch.NewInt64Universe(universe))
-	s, err := sketch.NewReservoir(u, k, sketch.WithSeed(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sys := robustsample.NewPrefixes(universe)
-	checkpoints := map[int]bool{500: true, 1000: true, 2000: true, n: true}
-	for i, x := range stream {
-		fAdmit := facade.Offer(x, fr)
-		sAdmit, err := s.Offer(x)
-		if err != nil {
-			t.Fatal(err)
+	for _, batched := range []bool{false, true} {
+		name := "Offer"
+		if batched {
+			name = "OfferBatch"
 		}
-		if fAdmit != sAdmit {
-			t.Fatalf("round %d: admission bits differ (facade %v, sketch %v)", i+1, fAdmit, sAdmit)
-		}
-		if checkpoints[i+1] {
-			if !slices.Equal(facade.View(), s.EncodedView()) {
-				t.Fatalf("round %d: samples differ", i+1)
+		t.Run(name, func(t *testing.T) {
+			// Internal path: external RNG, int64 sampler, per-element offers.
+			ref := sampler.NewReservoir[int64](k)
+			rr := rng.New(seed)
+
+			// Public surface: identity universe, sketch-owned RNG with the
+			// same seed.
+			u := mustU(sketch.NewInt64Universe(universe))
+			s, err := sketch.NewReservoir(u, k, sketch.WithSeed(seed))
+			if err != nil {
+				t.Fatal(err)
 			}
-			df := sys.MaxDiscrepancy(stream[:i+1], facade.View())
-			ds := sys.MaxDiscrepancy(stream[:i+1], s.EncodedView())
-			if df != ds {
-				t.Fatalf("round %d: verdict tables differ: facade %v, sketch %v", i+1, df, ds)
+
+			from := 0
+			for _, to := range checkpoints {
+				rAdmitted, sAdmitted := 0, 0
+				for i, x := range stream[from:to] {
+					rAdmit := ref.Offer(x, rr)
+					if rAdmit {
+						rAdmitted++
+					}
+					if batched {
+						continue
+					}
+					sAdmit, err := s.Offer(x)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if rAdmit != sAdmit {
+						t.Fatalf("round %d: admission bits differ (sampler %v, sketch %v)", from+i+1, rAdmit, sAdmit)
+					}
+					if sAdmit {
+						sAdmitted++
+					}
+				}
+				if batched {
+					if sAdmitted, err = s.OfferBatch(stream[from:to]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if rAdmitted != sAdmitted {
+					t.Fatalf("rounds %d-%d: sampler admitted %d, sketch %d", from+1, to, rAdmitted, sAdmitted)
+				}
+				if !slices.Equal(ref.View(), s.EncodedView()) {
+					t.Fatalf("round %d: samples differ", to)
+				}
+				dr := sys.MaxDiscrepancy(stream[:to], ref.View())
+				ds := sys.MaxDiscrepancy(stream[:to], s.EncodedView())
+				if dr != ds {
+					t.Fatalf("round %d: verdict tables differ: sampler %v, sketch %v", to, dr, ds)
+				}
+				from = to
 			}
-		}
+		})
 	}
 }
 

@@ -29,8 +29,8 @@ type int64Range struct {
 }
 
 // NewInt64Universe returns the identity universe over [1, n]: values encode
-// as themselves. This is the universe the deprecated facade implicitly
-// fixed for every application.
+// as themselves, so encoded views feed internal set systems over [1, n]
+// directly.
 func NewInt64Universe(n int64) (Universe[int64], error) {
 	return NewInt64Range(1, n)
 }

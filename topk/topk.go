@@ -12,9 +12,9 @@
 // (Snapshot/Restore round-trip bit-identically). It implements
 // sketch.Sketch[T].
 //
-// The deterministic baselines (Misra-Gries, SpaceSaving) and sticky
-// sampling remain in internal/heavyhitter as experiment comparison points;
-// their sentinel validation errors are re-exported here.
+// The deterministic baselines (Misra-Gries, SpaceSaving) remain in
+// internal/heavyhitter as experiment comparison points; their sentinel
+// validation errors are re-exported here.
 package topk
 
 import (
