@@ -10,7 +10,9 @@
 //	go run ./cmd/apidump > api/public.txt
 //
 // The dump is produced from the AST alone (no type checking), so it is
-// stable across Go releases.
+// stable across Go releases. Methods an exported struct type promotes from
+// its unexported embedded types are listed under the outer type's receiver,
+// exactly as if the outer type declared them.
 package main
 
 import (
@@ -19,6 +21,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/printer"
+	"go/scanner"
 	"go/token"
 	"os"
 	"path/filepath"
@@ -70,6 +73,8 @@ func dumpPackage(out *bytes.Buffer, path, dir string) error {
 		if pkg.Name == "main" {
 			continue
 		}
+		// Promotion reads embedded fields, which declEntries elides.
+		entries = append(entries, promotedEntries(fset, pkg.Files)...)
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
 				entries = append(entries, declEntries(fset, decl)...)
@@ -130,6 +135,166 @@ func declEntries(fset *token.FileSet, decl ast.Decl) []entry {
 		return entries
 	}
 	return nil
+}
+
+// promotedEntries renders, for each exported type, the exported methods it
+// promotes from its unexported embedded struct types, at any depth. The
+// embedding tree is walked breadth first with Go's selector rule: a method
+// is promoted only when it is the one field or method of its name at the
+// shallowest depth where that name occurs.
+func promotedEntries(fset *token.FileSet, files map[string]*ast.File) []entry {
+	specs := make(map[string]*ast.TypeSpec)
+	methods := make(map[string][]*ast.FuncDecl)
+	for _, file := range files {
+		for _, decl := range file.Decls {
+			switch d := decl.(type) {
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					if ts, ok := spec.(*ast.TypeSpec); ok {
+						specs[ts.Name.Name] = ts
+					}
+				}
+			case *ast.FuncDecl:
+				if d.Recv != nil && len(d.Recv.List) == 1 {
+					base := receiverBase(d.Recv.List[0].Type)
+					methods[base] = append(methods[base], d)
+				}
+			}
+		}
+	}
+	type embedding struct {
+		spec *ast.TypeSpec
+		args []string // its type arguments, in the outer type's terms
+	}
+	var entries []entry
+	for name, outer := range specs {
+		if !ast.IsExported(name) {
+			continue
+		}
+		params := typeParams(outer)
+		shadowed := make(map[string]bool)
+		level := []embedding{{outer, params}}
+		for depth := 0; len(level) > 0; depth++ {
+			var next []embedding
+			count := make(map[string]int) // fields and methods of each name at this depth
+			promoted := make(map[string]entry)
+			for _, e := range level {
+				for _, m := range methods[e.spec.Name.Name] {
+					count[m.Name.Name]++
+					if depth > 0 && m.Name.IsExported() {
+						promoted[m.Name.Name] = entry{name + "." + m.Name.Name, promotedMethod(fset, m, name, params, e.args)}
+					}
+				}
+				st, ok := e.spec.Type.(*ast.StructType)
+				if !ok {
+					continue
+				}
+				for _, f := range st.Fields.List {
+					for _, n := range f.Names {
+						count[n.Name]++
+					}
+					inner := specs[receiverBase(f.Type)]
+					if len(f.Names) > 0 || inner == nil {
+						continue
+					}
+					count[inner.Name.Name]++
+					if ast.IsExported(inner.Name.Name) {
+						continue
+					}
+					args := typeArgs(fset, f.Type)
+					for i := range args {
+						args[i] = substitute(args[i], typeParams(e.spec), e.args)
+					}
+					next = append(next, embedding{inner, args})
+				}
+			}
+			for n, c := range count {
+				if e, ok := promoted[n]; ok && c == 1 && !shadowed[n] {
+					entries = append(entries, e)
+				}
+				shadowed[n] = true
+			}
+			level = next
+		}
+	}
+	return entries
+}
+
+// promotedMethod renders method m under the outer type's receiver; params
+// are the outer type's type parameters and args the type arguments m's
+// receiver type is instantiated with.
+func promotedMethod(fset *token.FileSet, m *ast.FuncDecl, outer string, params, args []string) string {
+	field := m.Recv.List[0]
+	recv := outer
+	if len(params) > 0 {
+		recv += "[" + strings.Join(params, ", ") + "]"
+	}
+	if _, ok := field.Type.(*ast.StarExpr); ok {
+		recv = "*" + recv
+	}
+	if len(field.Names) == 1 {
+		recv = field.Names[0].Name + " " + recv
+	}
+	sig := strings.TrimPrefix(render(fset, m.Type), "func")
+	return fmt.Sprintf("func (%s) %s%s", recv, m.Name.Name, substitute(sig, typeArgs(fset, field.Type), args))
+}
+
+// typeParams lists a type declaration's type parameter names.
+func typeParams(spec *ast.TypeSpec) []string {
+	var out []string
+	if spec.TypeParams != nil {
+		for _, f := range spec.TypeParams.List {
+			for _, n := range f.Names {
+				out = append(out, n.Name)
+			}
+		}
+	}
+	return out
+}
+
+// typeArgs renders the type arguments of an instantiated type expression,
+// under any pointer.
+func typeArgs(fset *token.FileSet, t ast.Expr) []string {
+	if star, ok := t.(*ast.StarExpr); ok {
+		t = star.X
+	}
+	var indices []ast.Expr
+	switch v := t.(type) {
+	case *ast.IndexExpr:
+		indices = []ast.Expr{v.Index}
+	case *ast.IndexListExpr:
+		indices = v.Indices
+	}
+	out := make([]string, len(indices))
+	for i, x := range indices {
+		out[i] = render(fset, x)
+	}
+	return out
+}
+
+// substitute replaces each identifier of the Go source text named in names
+// by the matching entry of args.
+func substitute(text string, names, args []string) string {
+	fset := token.NewFileSet()
+	file := fset.AddFile("", fset.Base(), len(text))
+	var s scanner.Scanner
+	s.Init(file, []byte(text), nil, 0)
+	var b strings.Builder
+	last := 0
+	for {
+		pos, tok, lit := s.Scan()
+		if tok == token.EOF {
+			break
+		}
+		if i := slices.Index(names, lit); tok == token.IDENT && i >= 0 && i < len(args) {
+			off := file.Offset(pos)
+			b.WriteString(text[last:off])
+			b.WriteString(args[i])
+			last = off + len(lit)
+		}
+	}
+	b.WriteString(text[last:])
+	return b.String()
 }
 
 func exportedNames(idents []*ast.Ident) []string {

@@ -5,17 +5,20 @@
 // atomically accessed fields are never touched plainly (atomicmix), public
 // packages fail through sentinel errors instead of panics (sentinelerr),
 // //robust:hotpath functions stay zero-alloc and registered in the golden
-// list (hotpathalloc), and snapshot codecs keep unique frame kinds, paired
+// list (hotpathalloc), snapshot codecs keep unique frame kinds, paired
 // Snapshot/Restore methods, universe validation on restore, and pinned
-// codec versions (snapshotframe).
+// codec versions (snapshotframe), and every function is reached from a main
+// package, an init, the public API or a //robust:root (deadcode).
 //
 // Usage:
 //
 //	robustlint [-list] [packages...]
 //
-// Packages default to ./... resolved against the current directory. Exit
-// status is 1 when any analyzer reports a finding, 2 on a driver failure
-// (unparseable source, type errors). Findings print as
+// Packages default to ./... resolved against the current directory.
+// deadcode is a whole-program check, so it runs only when the pattern is
+// exactly ./... and the current directory is the module root; a partial
+// load has no roots. Exit status is 1 when any analyzer reports a finding, 2 on a
+// driver failure (unparseable source, type errors). Findings print as
 //
 //	path/file.go:line:col: [analyzer] message
 //
@@ -32,6 +35,7 @@ import (
 
 	"robustsample/internal/lint"
 	"robustsample/internal/lint/atomicmix"
+	"robustsample/internal/lint/deadcode"
 	"robustsample/internal/lint/detsource"
 	"robustsample/internal/lint/hotpathalloc"
 	"robustsample/internal/lint/loader"
@@ -71,6 +75,7 @@ func main() {
 		for _, a := range append([]*lint.Analyzer{directiveChecker}, analyzers...) {
 			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
 		}
+		fmt.Printf("%-14s %s\n", deadcode.Name, deadcode.Doc)
 		return
 	}
 
@@ -100,6 +105,11 @@ func main() {
 				os.Exit(2)
 			}
 		}
+	}
+
+	// deadcode needs every root, so only a load of the whole module counts.
+	if _, err := os.Stat("go.mod"); err == nil && len(patterns) == 1 && patterns[0] == "./..." {
+		diags = append(diags, deadcode.Run(pkgs)...)
 	}
 
 	// The directive checker runs once per package, but an external-test

@@ -8,8 +8,9 @@
 //
 // The attack needs a universe exponentially larger than int64 permits
 // (Theorem 1.3 requires |R| up to 2^(n/2)); this example uses the exact
-// unbounded-universe simulation and reports how large the universe would
-// have needed to be.
+// unbounded-universe simulation. Experiment E3 reports how large the
+// universe would have needed to be (its required-lnN column):
+// go run ./cmd/robustbench -exp E3.
 //
 // Run: go run ./examples/attack
 package main

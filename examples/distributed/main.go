@@ -52,7 +52,7 @@ func main() {
 			stream[i] = universe/2 + r.Int63n(universe/2)
 		}
 	}
-	if err := engine.Ingest(stream[:n/2]); err != nil {
+	if _, err := engine.OfferBatch(stream[:n/2]); err != nil {
 		panic(err)
 	}
 
@@ -74,7 +74,7 @@ func main() {
 	if err := migrated.Restore(snap); err != nil {
 		panic(err)
 	}
-	if err := migrated.Ingest(stream[n/2:]); err != nil {
+	if _, err := migrated.OfferBatch(stream[n/2:]); err != nil {
 		panic(err)
 	}
 

@@ -88,11 +88,6 @@ func (bi *Bisection) Reset() {
 	bi.exhausted = false
 }
 
-// Exhausted reports whether the working range ran out of integer room at any
-// point during the game. Claim 5.1 guarantees this does not happen as long
-// as |S| < 2np' and N is large enough; the experiments record it to confirm.
-func (bi *Bisection) Exhausted() bool { return bi.exhausted }
-
 // Next implements game.Adversary, executing one step of Figure 3.
 func (bi *Bisection) Next(obs game.Observation, _ *rng.RNG) int64 {
 	if obs.Round > 1 {
@@ -198,76 +193,6 @@ func NewStaticSorted(universe int64) *Static {
 			return out
 		},
 	}
-}
-
-// NewStaticZipf returns a static adversary with Zipf(s)-distributed values
-// over [1, support], the canonical skewed workload for the heavy-hitters
-// experiments. support must be within the rng Zipf table limit.
-func NewStaticZipf(support int64, s float64) *Static {
-	return &Static{
-		StreamName: "zipf",
-		Gen: func(n int, r *rng.RNG) []int64 {
-			z := rng.NewZipf(support, s)
-			out := make([]int64, n)
-			for i := range out {
-				out[i] = z.Draw(r)
-			}
-			return out
-		},
-	}
-}
-
-// NewStaticConstant returns a static adversary that always submits v.
-func NewStaticConstant(v int64) *Static {
-	return &Static{
-		StreamName: "constant",
-		Gen: func(n int, _ *rng.RNG) []int64 {
-			out := make([]int64, n)
-			for i := range out {
-				out[i] = v
-			}
-			return out
-		},
-	}
-}
-
-// RandomAdaptive submits i.i.d. uniform elements. It is "adaptive" only in
-// the trivial sense (it runs inside the adaptive game but ignores the
-// state); it serves as the null baseline separating adaptivity from mere
-// randomness.
-type RandomAdaptive struct {
-	// Universe is N.
-	Universe int64
-}
-
-// NewRandomAdaptive returns the null adaptive baseline over [1, universe].
-func NewRandomAdaptive(universe int64) *RandomAdaptive {
-	if universe < 1 {
-		panic("adversary: universe must be >= 1")
-	}
-	return &RandomAdaptive{Universe: universe}
-}
-
-// Name implements game.Adversary.
-func (a *RandomAdaptive) Name() string { return "random" }
-
-// Reset implements game.Adversary.
-func (a *RandomAdaptive) Reset() {}
-
-// Next implements game.Adversary.
-func (a *RandomAdaptive) Next(_ game.Observation, r *rng.RNG) int64 {
-	return 1 + r.Int63n(a.Universe)
-}
-
-// GenerateStream implements game.StreamGenerator: the null baseline ignores
-// the sampler's state, so its stream can be drawn up front — one Int63n per
-// round in the same order as Next, hence bit-identical games either way.
-func (a *RandomAdaptive) GenerateStream(n int, r *rng.RNG) []int64 {
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = 1 + r.Int63n(a.Universe)
-	}
-	return out
 }
 
 // HHInflation attacks the heavy-hitters application (Corollary 1.6): it

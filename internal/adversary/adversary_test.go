@@ -11,6 +11,11 @@ import (
 	"robustsample/internal/setsystem"
 )
 
+// Exhausted reports whether the working range ran out of integer room at any
+// point during the game. Claim 5.1 guarantees this does not happen as long
+// as |S| < 2np' and N is large enough.
+func (bi *Bisection) Exhausted() bool { return bi.exhausted }
+
 func TestBisectionSampledAreSmallest(t *testing.T) {
 	// Claim 5.2: at every point, all sampled elements are smaller than
 	// all non-sampled elements; hence the final Bernoulli sample is
@@ -143,8 +148,6 @@ func TestStaticAdversariesProduceValidStreams(t *testing.T) {
 	advs := []game.Adversary{
 		NewStaticUniform(universe),
 		NewStaticSorted(universe),
-		NewStaticZipf(universe, 1.2),
-		NewStaticConstant(7),
 	}
 	root := rng.New(7)
 	for _, adv := range advs {
@@ -177,18 +180,6 @@ func TestStaticSortedIsSorted(t *testing.T) {
 	}
 }
 
-func TestStaticConstant(t *testing.T) {
-	adv := NewStaticConstant(7)
-	r := rng.New(9)
-	s := sampler.NewBernoulli[int64](0)
-	res := game.Run(s, adv, setsystem.NewPrefixes(10), 50, 0.5, r)
-	for _, x := range res.Stream {
-		if x != 7 {
-			t.Fatal("constant stream not constant")
-		}
-	}
-}
-
 func TestStaticRegeneratesAcrossGames(t *testing.T) {
 	adv := NewStaticUniform(100)
 	root := rng.New(10)
@@ -204,18 +195,6 @@ func TestStaticRegeneratesAcrossGames(t *testing.T) {
 	}
 	if !diff {
 		t.Fatal("static adversary replayed the same stream in a fresh game with fresh randomness")
-	}
-}
-
-func TestRandomAdaptiveRange(t *testing.T) {
-	adv := NewRandomAdaptive(50)
-	r := rng.New(11)
-	s := sampler.NewReservoir[int64](5)
-	res := game.Run(s, adv, setsystem.NewPrefixes(50), 200, 0.9, r)
-	for _, x := range res.Stream {
-		if x < 1 || x > 50 {
-			t.Fatalf("value %d outside universe", x)
-		}
 	}
 }
 
@@ -404,7 +383,6 @@ func TestAdversaryNames(t *testing.T) {
 		"bisection":      NewBisection(100, 0.5),
 		"static-uniform": NewStaticUniform(10),
 		"static-sorted":  NewStaticSorted(10),
-		"random":         NewRandomAdaptive(10),
 		"hh-inflation":   NewHHInflation(1, 10, 0.5, 0.5),
 		"median-pusher":  NewMedianPusher(10),
 	}

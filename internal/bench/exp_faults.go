@@ -42,7 +42,7 @@ func ExpE20(cfg Config) *Table {
 	n := cfg.scaled(20000, 2000)
 	stream := servingStream(n, cfg.Seed+20)
 	serial := servingEngine(rng.New(cfg.Seed + 200))
-	serial.Ingest(stream)
+	serial.OfferBatch(stream)
 	wantV := serial.Verdict()
 	wantSample := serial.Sample()
 

@@ -159,7 +159,7 @@ func ExpE19(cfg Config) *Table {
 	n := cfg.scaled(20000, 1000)
 	stream := servingStream(n, cfg.Seed+19)
 	serial := servingEngine(rng.New(cfg.Seed + 190))
-	serial.Ingest(stream)
+	serial.OfferBatch(stream)
 	wantV := serial.Verdict()
 	wantSample := serial.Sample()
 	for _, P := range cfg.producerCounts() {

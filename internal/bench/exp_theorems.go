@@ -390,7 +390,7 @@ func ExpE15(cfg Config) *Table {
 				}
 				finals[trial] = m.Z()
 				violated[trial] = m.MaxStepViolation() > 1e-9
-				lambdas[trial] = solveFreedman(m.VarianceBudget(), 1/(float64(n)*p), 0.1)
+				lambdas[trial] = m.FreedmanLambda(0.1)
 			case "reservoir":
 				k := 100
 				m := core.NewReservoirMartingale(k, inR)
@@ -404,7 +404,7 @@ func ExpE15(cfg Config) *Table {
 				}
 				finals[trial] = m.Z()
 				violated[trial] = m.MaxStepViolation() > 1e-9
-				lambdas[trial] = solveFreedman(m.VarianceBudget(), float64(n)/float64(k), 0.1)
+				lambdas[trial] = m.FreedmanLambda(0.1)
 			}
 		})
 		violations := countTrue(violated)
@@ -422,13 +422,4 @@ func ExpE15(cfg Config) *Table {
 	t.Notes = append(t.Notes,
 		"expected shape: mean Z_n ~ 0 relative to sd (martingale, no drift even vs adaptive adversaries); step-violations = 0; frac |Z_n|<=lambda >= 0.9 (Freedman at delta=0.1; the bound is loose, so typically 1.0)")
 	return t
-}
-
-// solveFreedman returns the lambda at which the Freedman tail equals delta:
-// solve 2 exp(-l^2/(2V + Ml/3)) = delta.
-func solveFreedman(sumVar, m, delta float64) float64 {
-	c := math.Log(2 / delta)
-	// l^2 = c (2V + M l / 3) => l^2 - (cM/3) l - 2cV = 0.
-	b := c * m / 3
-	return (b + math.Sqrt(b*b+8*c*sumVar)) / 2
 }

@@ -25,36 +25,6 @@ type Point2 struct {
 	X, Y float64
 }
 
-// Depth1D returns the halfspace depth of c in pts: the minimum, over the
-// two closed rays through c, of the fraction of points they contain.
-func Depth1D(c float64, pts []float64) float64 {
-	if len(pts) == 0 {
-		return 0
-	}
-	le, ge := 0, 0
-	for _, p := range pts {
-		if p <= c {
-			le++
-		}
-		if p >= c {
-			ge++
-		}
-	}
-	n := float64(len(pts))
-	return math.Min(float64(le), float64(ge)) / n
-}
-
-// Center1D returns a point of maximal halfspace depth in pts (the median).
-// It panics on empty input.
-func Center1D(pts []float64) float64 {
-	if len(pts) == 0 {
-		panic("centerpoint: empty point set")
-	}
-	cp := append([]float64(nil), pts...)
-	sort.Float64s(cp)
-	return cp[len(cp)/2]
-}
-
 // Depth2D returns the exact Tukey depth of c in pts: the minimum over all
 // closed halfplanes containing c of the fraction of points they contain.
 // Computed by the standard angular sweep in O(n log n).
@@ -224,50 +194,6 @@ func HalfspaceDiscrepancy2D(stream, sample []Point2, directions int, r *rng.RNG)
 		if r != nil {
 			theta += r.Float64() * math.Pi / float64(directions)
 		}
-		ux, uy := math.Cos(theta), math.Sin(theta)
-		for i, p := range stream {
-			ps[i] = p.X*ux + p.Y*uy
-		}
-		for i, p := range sample {
-			qs[i] = p.X*ux + p.Y*uy
-		}
-		if e := HalfspaceDiscrepancy1D(ps, qs); e > worst {
-			worst = e
-		}
-	}
-	return worst
-}
-
-// ExactHalfspaceDiscrepancy2D computes the exact halfplane discrepancy by
-// enumerating all combinatorially distinct directions (normals of lines
-// through pairs of points of stream ∪ sample, perturbed to both sides).
-// O(n^2) directions x O(n log n) each — use only for small inputs.
-func ExactHalfspaceDiscrepancy2D(stream, sample []Point2) float64 {
-	if len(stream) == 0 {
-		return 0
-	}
-	if len(sample) == 0 {
-		return 1
-	}
-	all := append(append([]Point2(nil), stream...), sample...)
-	var dirs []float64
-	for i := 0; i < len(all); i++ {
-		for j := i + 1; j < len(all); j++ {
-			dx := all[j].X - all[i].X
-			dy := all[j].Y - all[i].Y
-			if dx == 0 && dy == 0 {
-				continue
-			}
-			base := math.Atan2(dy, dx) + math.Pi/2
-			// Perturb to both sides to capture open/closed breakpoints.
-			dirs = append(dirs, base-1e-7, base+1e-7)
-		}
-	}
-	dirs = append(dirs, 0, math.Pi/2) // axis-aligned fallbacks
-	worst := 0.0
-	ps := make([]float64, len(stream))
-	qs := make([]float64, len(sample))
-	for _, theta := range dirs {
 		ux, uy := math.Cos(theta), math.Sin(theta)
 		for i, p := range stream {
 			ps[i] = p.X*ux + p.Y*uy

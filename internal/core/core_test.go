@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -52,17 +51,12 @@ func TestStaticBoundsSmallerThanAdaptive(t *testing.T) {
 	p := Params{Eps: 0.1, Delta: 0.1, N: 1 << 30}
 	sys := setsystem.NewPrefixes(1 << 40)
 	adaptive := ReservoirSize(p, sys.LogCardinality())
-	static := StaticReservoirSize(p, sys.VCDim())
+	static := StaticReservoirSize(p, 1) // the VC dimension of prefixes
 	if static >= adaptive {
 		t.Fatalf("static k=%d should be < adaptive k=%d", static, adaptive)
 	}
 	if ratio := float64(adaptive) / float64(static); ratio < 3 {
 		t.Fatalf("expected a substantial gap, ratio %v", ratio)
-	}
-	aRate := BernoulliRate(p, sys.LogCardinality())
-	sRate := StaticBernoulliRate(p, sys.VCDim())
-	if sRate >= aRate {
-		t.Fatalf("static rate %v should be < adaptive rate %v", sRate, aRate)
 	}
 }
 
@@ -129,14 +123,6 @@ func TestNewRobustSamplers(t *testing.T) {
 	if b.P != BernoulliRate(p, sys.LogCardinality()) {
 		t.Fatal("robust Bernoulli rate mismatch")
 	}
-	v := NewRobustReservoir(p, sys)
-	if v.K != ReservoirSize(p, sys.LogCardinality()) {
-		t.Fatal("robust reservoir size mismatch")
-	}
-	c := NewContinuousRobustReservoir(p, sys)
-	if c.K != ContinuousReservoirSize(p, sys.LogCardinality()) {
-		t.Fatal("continuous robust reservoir size mismatch")
-	}
 }
 
 func TestRobustReservoirSurvivesBisection(t *testing.T) {
@@ -148,10 +134,10 @@ func TestRobustReservoirSurvivesBisection(t *testing.T) {
 	sys := setsystem.NewPrefixes(universe)
 	k := ReservoirSize(p, sys.LogCardinality())
 	root := rng.New(1)
-	est := EstimateRobustness(
+	est := EstimateRobustnessWorkers(
 		func() game.Sampler { return sampler.NewReservoir[int64](k) },
 		func() game.Adversary { return adversary.NewBisectionReservoir(universe, p.N, k) },
-		sys, p, 30, root,
+		sys, p, 30, 0, root,
 	)
 	// Allow Monte-Carlo slack above delta.
 	if est.Failure.Rate() > p.Delta+0.15 {
@@ -182,10 +168,10 @@ func TestEstimateRobustnessDeterministic(t *testing.T) {
 	p := Params{Eps: 0.3, Delta: 0.2, N: 500}
 	sys := setsystem.NewPrefixes(1 << 16)
 	mk := func() RobustnessEstimate {
-		return EstimateRobustness(
+		return EstimateRobustnessWorkers(
 			func() game.Sampler { return sampler.NewReservoir[int64](50) },
 			func() game.Adversary { return adversary.NewStaticUniform(1 << 16) },
-			sys, p, 10, rng.New(7),
+			sys, p, 10, 0, rng.New(7),
 		)
 	}
 	a, b := mk(), mk()
@@ -197,10 +183,10 @@ func TestEstimateRobustnessDeterministic(t *testing.T) {
 func TestEstimateRobustnessCountsTrials(t *testing.T) {
 	p := Params{Eps: 0.3, Delta: 0.2, N: 500}
 	for _, trials := range []int{1, 5} {
-		est := EstimateRobustness(
+		est := EstimateRobustnessWorkers(
 			func() game.Sampler { return sampler.NewReservoir[int64](60) },
 			func() game.Adversary { return adversary.NewStaticUniform(1 << 16) },
-			setsystem.NewPrefixes(1<<16), p, trials, rng.New(5),
+			setsystem.NewPrefixes(1<<16), p, trials, 0, rng.New(5),
 		)
 		if est.Failure.Trials != trials || est.Errors.N != trials {
 			t.Fatalf("estimate counted %d trials and %d errors, want %d",
@@ -215,10 +201,10 @@ func TestEstimateRobustnessPanics(t *testing.T) {
 			t.Fatal("expected panic for trials=0")
 		}
 	}()
-	EstimateRobustness(
+	EstimateRobustnessWorkers(
 		func() game.Sampler { return sampler.NewReservoir[int64](5) },
 		func() game.Adversary { return adversary.NewStaticUniform(10) },
-		setsystem.NewPrefixes(10), Params{Eps: 0.1, Delta: 0.1, N: 10}, 0, rng.New(1),
+		setsystem.NewPrefixes(10), Params{Eps: 0.1, Delta: 0.1, N: 10}, 0, 0, rng.New(1),
 	)
 }
 
@@ -227,10 +213,10 @@ func TestEstimateContinuousRobustness(t *testing.T) {
 	sys := setsystem.NewPrefixes(1 << 16)
 	k := ContinuousReservoirSize(p, sys.LogCardinality())
 	root := rng.New(3)
-	est := EstimateContinuousRobustness(
+	est := EstimateContinuousRobustnessWorkers(
 		func() game.Sampler { return sampler.NewReservoir[int64](k) },
 		func() game.Adversary { return adversary.NewStaticUniform(1 << 16) },
-		sys, p, k, 10, root,
+		sys, p, k, 10, 0, root,
 	)
 	if est.Failure.Rate() > p.Delta+0.2 {
 		t.Fatalf("continuous robust reservoir failed too often: %v", est.Failure)
@@ -243,33 +229,5 @@ func TestEstimateContinuousRobustness(t *testing.T) {
 func TestRobustnessEstimateString(t *testing.T) {
 	if (RobustnessEstimate{}).String() == "" {
 		t.Fatal("empty string")
-	}
-}
-
-func TestStaticContinuousSmallerThanAdaptive(t *testing.T) {
-	// Theorem 1.4 "Moreover": static continuous robustness needs only
-	// the VC term, which for prefix systems over large universes is far
-	// below ln|R|.
-	sys := setsystem.NewPrefixes(1 << 40)
-	for _, n := range []int{1 << 20, 1 << 30} {
-		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			p := Params{Eps: 0.1, Delta: 0.1, N: n}
-			static := StaticContinuousReservoirSize(p, sys.VCDim())
-			adaptive := ContinuousReservoirSize(p, sys.LogCardinality())
-			if static >= adaptive {
-				t.Fatalf("static continuous k=%d should be < adaptive k=%d", static, adaptive)
-			}
-			// And it still exceeds the plain static (non-continuous) size.
-			if static <= StaticReservoirSize(p, sys.VCDim()) {
-				t.Fatal("continuous static should cost more than plain static")
-			}
-		})
-	}
-}
-
-func TestStaticContinuousCapsAtN(t *testing.T) {
-	p := Params{Eps: 0.05, Delta: 0.01, N: 100}
-	if got := StaticContinuousReservoirSize(p, 1); got != 100 {
-		t.Fatalf("should cap at n, got %d", got)
 	}
 }

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"math"
-
-	"robustsample/internal/rng"
-	"robustsample/internal/stats"
-)
+import "math"
 
 // This file implements the martingale constructions of Section 4 as
 // instrumented trackers. For a fixed range R, the paper defines
@@ -22,7 +17,7 @@ import (
 // i/k). The trackers record the realized trajectory, per-step increments,
 // and the theoretical variance budget, so experiment E15 can (a) verify the
 // empirical drift is ~0, (b) confirm every step respects the claimed bound,
-// and (c) compare the realized deviation to the Freedman bound.
+// and (c) compare the realized deviation to the Freedman bound (Lemma 3.3).
 
 // MartingaleStep records one realized increment of Z.
 type MartingaleStep struct {
@@ -110,9 +105,6 @@ func (m *BernoulliMartingale) Z() float64 {
 	return m.steps[len(m.steps)-1].Z
 }
 
-// Steps returns the recorded trajectory.
-func (m *BernoulliMartingale) Steps() []MartingaleStep { return m.steps }
-
 // MaxStepViolation returns the largest amount by which any realized step
 // exceeded its Claim 4.2 bound (0 if none did; tolerance for float noise is
 // the caller's concern).
@@ -126,10 +118,11 @@ func (m *BernoulliMartingale) VarianceBudget() float64 {
 	return varianceBudget(m.steps)
 }
 
-// FreedmanTail bounds Pr[|Z_n| >= lambda] per Lemma 3.3 with the realized
-// variance budget and the worst-case step bound 1/(np).
-func (m *BernoulliMartingale) FreedmanTail(lambda float64) float64 {
-	return stats.FreedmanBound(lambda, m.VarianceBudget(), 1/(float64(m.N)*m.P))
+// FreedmanLambda returns the deviation lambda at which the Lemma 3.3 bound
+// on Pr[|Z_n| >= lambda] equals delta, with the realized variance budget and
+// the Claim 4.2 step bound 1/(np).
+func (m *BernoulliMartingale) FreedmanLambda(delta float64) float64 {
+	return freedmanLambda(m.VarianceBudget(), 1/(float64(m.N)*m.P), delta)
 }
 
 // ReservoirMartingale tracks Z_i for reservoir sampling with memory K, for a
@@ -209,9 +202,6 @@ func (m *ReservoirMartingale) Z() float64 {
 	return m.steps[len(m.steps)-1].Z
 }
 
-// Steps returns the recorded trajectory.
-func (m *ReservoirMartingale) Steps() []MartingaleStep { return m.steps }
-
 // MaxStepViolation returns the largest amount by which any realized step
 // exceeded its Claim 4.3 bound.
 func (m *ReservoirMartingale) MaxStepViolation() float64 {
@@ -223,10 +213,11 @@ func (m *ReservoirMartingale) VarianceBudget() float64 {
 	return varianceBudget(m.steps)
 }
 
-// FreedmanTail bounds Pr[|Z_n| >= lambda] per Lemma 3.3 with the realized
-// variance budget and step bound n/k.
-func (m *ReservoirMartingale) FreedmanTail(lambda float64) float64 {
-	return stats.FreedmanBound(lambda, m.VarianceBudget(), float64(m.round)/float64(m.K))
+// FreedmanLambda returns the deviation lambda at which the Lemma 3.3 bound
+// on Pr[|Z_n| >= lambda] equals delta, with the realized variance budget and
+// the Claim 4.3 step bound n/k.
+func (m *ReservoirMartingale) FreedmanLambda(delta float64) float64 {
+	return freedmanLambda(m.VarianceBudget(), float64(m.round)/float64(m.K), delta)
 }
 
 func maxStepViolation(steps []MartingaleStep) float64 {
@@ -250,23 +241,11 @@ func varianceBudget(steps []MartingaleStep) float64 {
 	return sum
 }
 
-// EmpiricalDrift estimates E[Z_i - Z_{i-1} | history] averaged over many
-// independent replays of a fixed adversary schedule; for a true martingale
-// it converges to 0. It replays `trials` Bernoulli(p) sampling runs over the
-// fixed stream, tracking the mean final Z. Used by tests to validate Claim
-// 4.2 empirically.
-func EmpiricalDrift(stream []int64, p float64, inR func(int64) bool, trials int, root *rng.RNG) float64 {
-	if trials < 1 {
-		panic("core: trials must be >= 1")
-	}
-	sum := 0.0
-	for t := 0; t < trials; t++ {
-		r := root.Split()
-		m := NewBernoulliMartingale(len(stream), p, inR)
-		for _, x := range stream {
-			m.Observe(x, r.Bernoulli(p))
-		}
-		sum += m.Z()
-	}
-	return sum / float64(trials)
+// freedmanLambda solves Lemma 3.3's tail 2 exp(-l^2 / (2V + M l / 3)) = delta
+// for l, given the variance budget V and the step bound M.
+func freedmanLambda(sumVar, m, delta float64) float64 {
+	c := math.Log(2 / delta)
+	// l^2 = c (2V + M l / 3) => l^2 - (cM/3) l - 2cV = 0.
+	b := c * m / 3
+	return (b + math.Sqrt(b*b+8*c*sumVar)) / 2
 }

@@ -10,6 +10,28 @@ import (
 
 func inHalf(x int64) bool { return x <= 500 }
 
+// Steps returns the recorded trajectory.
+func (m *BernoulliMartingale) Steps() []MartingaleStep { return m.steps }
+
+// EmpiricalDrift estimates E[Z_n] over `trials` independent Bernoulli(p)
+// replays of a fixed stream; for a true martingale it converges to 0. It
+// panics when trials < 1.
+func EmpiricalDrift(stream []int64, p float64, inR func(int64) bool, trials int, root *rng.RNG) float64 {
+	if trials < 1 {
+		panic("core: trials must be >= 1")
+	}
+	sum := 0.0
+	for t := 0; t < trials; t++ {
+		r := root.Split()
+		m := NewBernoulliMartingale(len(stream), p, inR)
+		for _, x := range stream {
+			m.Observe(x, r.Bernoulli(p))
+		}
+		sum += m.Z()
+	}
+	return sum / float64(trials)
+}
+
 func TestBernoulliMartingaleStepsRespectBounds(t *testing.T) {
 	r := rng.New(1)
 	const n = 2000
@@ -85,13 +107,8 @@ func TestBernoulliMartingaleFreedman(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		m.Observe(1+r.Int63n(1000), r.Bernoulli(0.1))
 	}
-	if tail := m.FreedmanTail(0); tail != 1 {
-		t.Fatal("lambda=0 tail must be 1")
-	}
-	t1 := m.FreedmanTail(0.05)
-	t2 := m.FreedmanTail(0.5)
-	if t2 >= t1 {
-		t.Fatal("Freedman tail not decreasing in lambda")
+	if l1, l2 := m.FreedmanLambda(0.05), m.FreedmanLambda(0.5); l2 >= l1 {
+		t.Fatalf("Freedman lambda %v at delta=0.5 not below %v at delta=0.05", l2, l1)
 	}
 }
 
@@ -195,17 +212,24 @@ func TestReservoirMartingaleFreedman(t *testing.T) {
 	if math.Abs(m.VarianceBudget()-want) > 1e-9 {
 		t.Fatalf("variance budget %v, want %v", m.VarianceBudget(), want)
 	}
-	if m.FreedmanTail(0.1) <= m.FreedmanTail(float64(n)) {
-		t.Fatal("Freedman tail not decreasing")
+	if m.FreedmanLambda(0.01) <= m.FreedmanLambda(0.5) {
+		t.Fatal("Freedman lambda not decreasing in delta")
 	}
 }
 
-// TestFreedmanTailClosedForm pins each martingale's Lemma 3.3 inputs: the
-// realized variance budget and the Claim 4.2/4.3 step bound M, which is
-// 1/(np) for Bernoulli sampling and n/k for reservoir sampling.
-func TestFreedmanTailClosedForm(t *testing.T) {
-	closedForm := func(lambda, sumVar, m float64) float64 {
-		return math.Min(1, 2*math.Exp(-lambda*lambda/(2*sumVar+m*lambda/3)))
+// TestFreedmanLambdaClosedForm pins each martingale's Lemma 3.3 inputs: at
+// the returned lambda the tail 2 exp(-lambda^2 / (2V + M lambda/3)) equals
+// delta, with the realized variance budget V and the Claim 4.2/4.3 step
+// bound M, which is 1/(np) for Bernoulli sampling and n/k for reservoir
+// sampling.
+func TestFreedmanLambdaClosedForm(t *testing.T) {
+	check := func(t *testing.T, lambdaAt func(float64) float64, sumVar, m float64) {
+		for _, delta := range []float64{0.01, 0.1, 0.5} {
+			lambda := lambdaAt(delta)
+			if tail := 2 * math.Exp(-lambda*lambda/(2*sumVar+m*lambda/3)); math.Abs(tail-delta) > 1e-12 {
+				t.Fatalf("delta=%v: lambda %v gives tail %v", delta, lambda, tail)
+			}
+		}
 	}
 	const n = 1000
 	t.Run("bernoulli", func(t *testing.T) {
@@ -214,11 +238,7 @@ func TestFreedmanTailClosedForm(t *testing.T) {
 		for i := 0; i < n; i++ {
 			m.Observe(1+r.Int63n(1000), r.Bernoulli(0.1))
 		}
-		for _, lambda := range []float64{0.1, 0.2, 0.3} {
-			if got, want := m.FreedmanTail(lambda), closedForm(lambda, m.VarianceBudget(), 1/(n*0.1)); got != want {
-				t.Fatalf("lambda=%v: tail %v, closed form %v", lambda, got, want)
-			}
-		}
+		check(t, m.FreedmanLambda, m.VarianceBudget(), 1/(n*0.1))
 	})
 	t.Run("reservoir", func(t *testing.T) {
 		r := rng.New(12)
@@ -229,11 +249,7 @@ func TestFreedmanTailClosedForm(t *testing.T) {
 			x := 1 + r.Int63n(1000)
 			m.Observe(x, res.Offer(x, r), res.View())
 		}
-		for _, lambda := range []float64{300, 400, 600} {
-			if got, want := m.FreedmanTail(lambda), closedForm(lambda, m.VarianceBudget(), float64(n)/k); got != want {
-				t.Fatalf("lambda=%v: tail %v, closed form %v", lambda, got, want)
-			}
-		}
+		check(t, m.FreedmanLambda, m.VarianceBudget(), float64(n)/k)
 	})
 }
 

@@ -42,11 +42,6 @@ func TestEstimateRobustnessParallelDeterminism(t *testing.T) {
 			t.Fatalf("workers=%d estimate differs from serial:\n%+v\nvs\n%+v", workers, par, serial)
 		}
 	}
-	// The convenience wrapper (GOMAXPROCS pool) must agree too.
-	wrapped := EstimateRobustness(mkS, mkA, sys, p, 17, rng.New(5))
-	if !reflect.DeepEqual(serial, wrapped) {
-		t.Fatalf("EstimateRobustness differs from serial:\n%+v\nvs\n%+v", wrapped, serial)
-	}
 }
 
 func TestEstimateContinuousRobustnessParallelDeterminism(t *testing.T) {

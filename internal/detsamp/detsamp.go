@@ -140,9 +140,6 @@ func reduce(a, b []int64) []int64 {
 	return out
 }
 
-// N returns the number of inserted elements.
-func (m *MergeReduce) N() int { return m.n }
-
 // Size returns the number of stored values (space usage).
 func (m *MergeReduce) Size() int {
 	total := len(m.accum)
@@ -152,18 +149,9 @@ func (m *MergeReduce) Size() int {
 	return total
 }
 
-// Levels returns the number of allocated levels.
-func (m *MergeReduce) Levels() int { return len(m.levels) }
-
-// ErrorBound returns the deterministic worst-case relative rank error of
-// the current summary: L/(2B) over the occupied levels.
-func (m *MergeReduce) ErrorBound() float64 {
-	return float64(len(m.levels)) / (2 * float64(m.B))
-}
-
 // WeightedValues returns the summary contents: level-l values with weight
 // 2^l plus the partial accumulation buffer with weight 1, sorted by value.
-// The total weight equals N().
+// The total weight equals the number of inserted elements.
 func (m *MergeReduce) WeightedValues() []WeightedValue {
 	var out []WeightedValue
 	for _, x := range m.accum {

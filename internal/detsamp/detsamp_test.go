@@ -10,6 +10,9 @@ import (
 	"robustsample/internal/rng"
 )
 
+// N returns the number of inserted elements.
+func (m *MergeReduce) N() int { return m.n }
+
 // mustNew unwraps a constructor result whose parameters are valid by
 // construction in these tests.
 func mustNew[T any](v T, err error) T {
@@ -166,12 +169,14 @@ func TestErrorWithinBoundAdversarialPermutation(t *testing.T) {
 	}
 }
 
+// TestErrorBoundFormula pins the bound to the package doc's closed form:
+// L/(2B) with L = ceil(log2(n/B)) levels.
 func TestErrorBoundFormula(t *testing.T) {
 	m := mustNew(New(32))
 	for i := 0; i < 10000; i++ {
 		m.Insert(int64(i))
 	}
-	want := float64(m.Levels()) / 64
+	want := math.Ceil(math.Log2(10000.0/32)) / 64
 	if m.ErrorBound() != want {
 		t.Fatalf("ErrorBound %v, want %v", m.ErrorBound(), want)
 	}

@@ -2,6 +2,12 @@ package detsamp
 
 import "testing"
 
+// ErrorBound returns the deterministic worst-case relative rank error of
+// the current summary: L/(2B) over the occupied levels.
+func (m *MergeReduce) ErrorBound() float64 {
+	return float64(len(m.levels)) / (2 * float64(m.B))
+}
+
 // FuzzMergeReduceBound checks, on arbitrary insertion orders, that the
 // deterministic summary conserves weight and stays within its own
 // worst-case error bound.

@@ -317,25 +317,14 @@ func (p *Plan) Decide(shard, attempt int) Decision {
 }
 
 // Count returns how many faults of kind op the plan has injected.
+//
+//robust:root internal/shard's chaos tests read the injection counts
 func (p *Plan) Count(op Op) uint64 {
 	if op >= numOps {
 		return 0
 	}
 	return p.counts[op].Load()
 }
-
-// Total returns the total number of injected faults.
-func (p *Plan) Total() uint64 {
-	var n uint64
-	for i := Op(1); i < numOps; i++ {
-		n += p.counts[i].Load()
-	}
-	return n
-}
-
-// Ordinal returns shard s's current apply ordinal (how many chunks have
-// been decided on so far).
-func (p *Plan) Ordinal(shard int) uint64 { return p.lanes[shard].ord.Load() }
 
 // Shards returns the shard count the plan was built for.
 func (p *Plan) Shards() int { return len(p.lanes) }

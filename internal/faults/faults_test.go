@@ -5,6 +5,19 @@ import (
 	"time"
 )
 
+// Total returns the total number of injected faults.
+func (p *Plan) Total() uint64 {
+	var n uint64
+	for i := Op(1); i < numOps; i++ {
+		n += p.counts[i].Load()
+	}
+	return n
+}
+
+// Ordinal returns shard s's current apply ordinal (how many chunks have
+// been decided on so far).
+func (p *Plan) Ordinal(shard int) uint64 { return p.lanes[shard].ord.Load() }
+
 // TestParseSpec checks the CLI syntax round-trips into the right Spec.
 func TestParseSpec(t *testing.T) {
 	spec, err := ParseSpec("seed=42,crash=0.01,stall=0.005@20ms,delay=0.1@200us,corrupt=0.01,hard=0.001,max=3")

@@ -291,17 +291,6 @@ func MustCheckpoints(start, n int, gamma float64) []int {
 	return cps
 }
 
-// AllRounds returns the exhaustive schedule 1..n, the literal Figure 2
-// verdict; use only for short streams (the check costs O(i log i) per
-// round).
-func AllRounds(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i + 1
-	}
-	return out
-}
-
 // generateStream asks a StreamGenerator for the full n-round stream and
 // validates its length (mirroring Static's short-stream panic).
 func generateStream(gen StreamGenerator, n int, r *rng.RNG) []int64 {

@@ -27,9 +27,10 @@ type ShardedEngine interface {
 	// Offer routes one element adaptively, reporting the destination
 	// shard and whether its sampler admitted the element.
 	Offer(x int64) (shardIdx int, admitted bool)
-	// Ingest bulk-routes a run of consecutive elements (the non-adaptive
-	// span path; shards may ingest in parallel).
-	Ingest(xs []int64)
+	// OfferBatch bulk-routes a run of consecutive elements (the non-adaptive
+	// span path; shards may ingest in parallel), reporting how many entered
+	// some shard's sample.
+	OfferBatch(xs []int64) int
 	// Verdict returns the exact global discrepancy of the union stream
 	// against the union sample.
 	Verdict() setsystem.Discrepancy
@@ -50,10 +51,10 @@ type ShardedEngine interface {
 // union of the per-shard samples and LastAdmitted reports whether the
 // previous element entered ANY shard's sample. (Attacks that need per-shard
 // admission feedback — the distributed bisection arm — drive the engine
-// directly; see internal/shard.RunTargetedBisection.)
+// directly; see internal/shard.RunTargetedBisectionUnbounded.)
 //
 // When the adversary is a StreamGenerator, the rounds between checkpoints
-// collapse into chunked bulk ingest (Engine.Ingest in SpanChunkCap-sized
+// collapse into chunked bulk ingest (Engine.OfferBatch in SpanChunkCap-sized
 // chunks), letting shards ingest in parallel; verdicts and trajectories are
 // unchanged because routing and sampling are chunking-invariant.
 func RunSharded(e ShardedEngine, adv Adversary, n int, eps float64, checkpoints []int, r *rng.RNG) ContinuousResult {
@@ -89,7 +90,7 @@ func RunSharded(e ShardedEngine, adv Adversary, n int, eps float64, checkpoints 
 		for _, cp := range cps {
 			for played < cp {
 				j := min(played+spanChunk(), cp)
-				e.Ingest(stream[played:j])
+				e.OfferBatch(stream[played:j])
 				played = j
 			}
 			checkpoint(cp)

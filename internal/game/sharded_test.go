@@ -50,7 +50,7 @@ func TestRunShardedVerdictsMatchOneShot(t *testing.T) {
 		replay.StartGame(r)
 		played := 0
 		for i, cp := range cps {
-			replay.Ingest(res.Stream[played:cp])
+			replay.OfferBatch(res.Stream[played:cp])
 			played = cp
 			want := sys.MaxDiscrepancy(res.Stream[:cp], replay.Sample())
 			if got := res.PrefixErrors[i].Err; got != want.Err {

@@ -45,8 +45,6 @@ type Summary interface {
 	Report(alpha float64) []int64
 	// EstimateDensity returns the algorithm's estimate of d_x(stream).
 	EstimateDensity(x int64) float64
-	// Count returns the number of inserted elements.
-	Count() int
 	// Size returns the number of stored counters/values.
 	Size() int
 }
@@ -119,9 +117,6 @@ func (s *SampleHH) EstimateDensity(x int64) float64 {
 	}
 	return float64(c) / float64(len(items))
 }
-
-// Count implements Summary.
-func (s *SampleHH) Count() int { return s.res.Rounds() }
 
 // Size implements Summary.
 func (s *SampleHH) Size() int { return s.res.Len() }
@@ -196,9 +191,6 @@ func (mg *MisraGries) EstimateDensity(x int64) float64 {
 	}
 	return float64(mg.counters[x]) / float64(mg.n)
 }
-
-// Count implements Summary.
-func (mg *MisraGries) Count() int { return mg.n }
 
 // Size implements Summary.
 func (mg *MisraGries) Size() int { return len(mg.counters) }
@@ -275,9 +267,6 @@ func (ss *SpaceSaving) EstimateDensity(x int64) float64 {
 	}
 	return float64(ss.counts[x]) / float64(ss.n)
 }
-
-// Count implements Summary.
-func (ss *SpaceSaving) Count() int { return ss.n }
 
 // Size implements Summary.
 func (ss *SpaceSaving) Size() int { return len(ss.counts) }

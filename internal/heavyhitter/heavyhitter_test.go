@@ -12,6 +12,12 @@ import (
 	"robustsample/internal/sampler"
 )
 
+// Count returns the number of inserted elements.
+func (s *SampleHH) Count() int { return s.res.Rounds() }
+
+// Count returns the number of inserted elements.
+func (mg *MisraGries) Count() int { return mg.n }
+
 // must unwraps a constructor result whose parameters are valid by
 // construction in these tests.
 func must[T any](v T, err error) T {

@@ -14,7 +14,8 @@
 //	x := 1     // two findings: // want `first` `second`
 //
 // Every diagnostic must match a want on its line and every want must be
-// matched by a diagnostic; anything else fails the test.
+// matched by a diagnostic; anything else fails the test. Expect applies the
+// same rules to a whole-program analyzer's diagnostics over a corpus module.
 package analysistest
 
 import (
@@ -36,6 +37,8 @@ import (
 
 // Run loads testdata/src/<pkgpath> for each pkgpath, runs the analyzer, and
 // reports mismatches between diagnostics and want comments through t.
+//
+//robust:root the harness of every analyzer's corpus test; only tests call it
 func Run(t *testing.T, testdata string, a *lint.Analyzer, pkgpaths ...string) {
 	t.Helper()
 	for _, pkgpath := range pkgpaths {
@@ -61,7 +64,7 @@ func runOne(t *testing.T, testdata string, a *lint.Analyzer, pkgpath string) {
 
 	fset := token.NewFileSet()
 	var files []*ast.File
-	wants := make(map[string][]*want) // "file:line" -> expectations
+	wants := make(wantSet)
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
 			continue
@@ -76,24 +79,7 @@ func runOne(t *testing.T, testdata string, a *lint.Analyzer, pkgpath string) {
 			t.Fatalf("%s: parse: %v", pkgpath, err)
 		}
 		files = append(files, f)
-		for i, line := range strings.Split(string(src), "\n") {
-			m := wantRe.FindStringSubmatch(line)
-			if m == nil {
-				continue
-			}
-			key := fmt.Sprintf("%s:%d", full, i+1)
-			for _, arg := range wantArgRe.FindAllStringSubmatch(m[1], -1) {
-				pat := arg[1]
-				if pat == "" {
-					pat = arg[2]
-				}
-				re, err := regexp.Compile(pat)
-				if err != nil {
-					t.Fatalf("%s: bad want pattern %q: %v", key, pat, err)
-				}
-				wants[key] = append(wants[key], &want{re: re})
-			}
-		}
+		wants.parse(t, full, src)
 	}
 	if len(files) == 0 {
 		t.Fatalf("%s: no Go files in %s", pkgpath, dir)
@@ -127,6 +113,68 @@ func runOne(t *testing.T, testdata string, a *lint.Analyzer, pkgpath string) {
 		t.Fatalf("%s: analyzer error: %v", pkgpath, err)
 	}
 
+	wants.check(t, pkgpath, diags)
+}
+
+// Expect checks diags against the // want comments of every Go file under
+// dir, with Run's matching rules. It is the harness of a whole-program
+// analyzer, whose corpus is a module loaded and analyzed as a whole.
+//
+//robust:root the harness of the deadcode corpus test; only tests call it
+func Expect(t *testing.T, dir string, diags []lint.Diagnostic) {
+	t.Helper()
+	wants := make(wantSet)
+	err := filepath.WalkDir(dir, func(path string, e os.DirEntry, err error) error {
+		if err != nil || e.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		full, err := filepath.Abs(path)
+		if err != nil {
+			return err
+		}
+		wants.parse(t, full, src)
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("%s: %v", dir, err)
+	}
+	wants.check(t, dir, diags)
+}
+
+// wantSet maps "file:line" to the expectations written on that line.
+type wantSet map[string][]*want
+
+// parse collects the want comments of one source file.
+func (w wantSet) parse(t *testing.T, filename string, src []byte) {
+	t.Helper()
+	for i, line := range strings.Split(string(src), "\n") {
+		m := wantRe.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		key := fmt.Sprintf("%s:%d", filename, i+1)
+		for _, arg := range wantArgRe.FindAllStringSubmatch(m[1], -1) {
+			pat := arg[1]
+			if pat == "" {
+				pat = arg[2]
+			}
+			re, err := regexp.Compile(pat)
+			if err != nil {
+				t.Fatalf("%s: bad want pattern %q: %v", key, pat, err)
+			}
+			w[key] = append(w[key], &want{re: re})
+		}
+	}
+}
+
+// check reports every diagnostic no want claims and every want no
+// diagnostic matched.
+func (w wantSet) check(t *testing.T, label string, diags []lint.Diagnostic) {
+	t.Helper()
 	sort.Slice(diags, func(i, j int) bool {
 		if diags[i].Pos.Filename != diags[j].Pos.Filename {
 			return diags[i].Pos.Filename < diags[j].Pos.Filename
@@ -135,19 +183,19 @@ func runOne(t *testing.T, testdata string, a *lint.Analyzer, pkgpath string) {
 	})
 	for _, d := range diags {
 		key := fmt.Sprintf("%s:%d", d.Pos.Filename, d.Pos.Line)
-		if !claim(wants[key], d.Message) {
-			t.Errorf("%s: unexpected diagnostic: %s", pkgpath, d)
+		if !claim(w[key], d.Message) {
+			t.Errorf("%s: unexpected diagnostic: %s", label, d)
 		}
 	}
 	var keys []string
-	for k := range wants {
+	for k := range w {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		for _, w := range wants[k] {
-			if !w.matched {
-				t.Errorf("%s: no diagnostic at %s matching %q", pkgpath, k, w.re)
+		for _, wt := range w[k] {
+			if !wt.matched {
+				t.Errorf("%s: no diagnostic at %s matching %q", label, k, wt.re)
 			}
 		}
 	}

@@ -74,7 +74,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // Directive is one parsed //robust: comment.
 type Directive struct {
 	// Tag is the word after "robust:" — "nondet", "hotpath", "alloc",
-	// "panics", "universe-check", "codec-version", "codec-pair".
+	// "panics", "universe-check", "codec-version", "codec-pair", "atomic",
+	// "root".
 	Tag string
 	// Reason is the rest of the comment. Suppression tags require one.
 	Reason string
@@ -89,6 +90,7 @@ var reasonRequired = map[string]bool{
 	"panics":     true,
 	"codec-pair": true,
 	"atomic":     true,
+	"root":       true,
 }
 
 // knownTags is the full directive grammar; anything else is a typo and is
@@ -103,6 +105,7 @@ var knownTags = map[string]bool{
 	"codec-version":  true,
 	"codec-pair":     true,
 	"atomic":         true,
+	"root":           true,
 }
 
 var directiveRe = regexp.MustCompile(`^//robust:([a-z-]+)\s*(.*)$`)
@@ -250,7 +253,7 @@ func CheckDirectives(p *Pass) {
 	})
 	for _, e := range all {
 		if !knownTags[e.d.Tag] {
-			p.Reportf(e.d.Pos, "unknown //robust:%s directive (known: alloc, atomic, codec-pair, codec-version, hotpath, nondet, panics, universe-check)", e.d.Tag)
+			p.Reportf(e.d.Pos, "unknown //robust:%s directive (known: alloc, atomic, codec-pair, codec-version, hotpath, nondet, panics, root, universe-check)", e.d.Tag)
 			continue
 		}
 		if reasonRequired[e.d.Tag] && e.d.Reason == "" {

@@ -44,7 +44,6 @@ type Package struct {
 type listedPackage struct {
 	ImportPath   string
 	Dir          string
-	Name         string
 	GoFiles      []string
 	TestGoFiles  []string // in-package _test.go files
 	XTestGoFiles []string // external-test (package foo_test) files

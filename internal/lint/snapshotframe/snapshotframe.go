@@ -96,12 +96,6 @@ func checkKindCollisions(pass *lint.Pass) {
 	}
 }
 
-// methodInfo locates a named method declaration in the package.
-type methodInfo struct {
-	decl *ast.FuncDecl
-	recv string
-}
-
 // checkPairing enforces Snapshot<->Restore pairing and the Restore
 // validation obligation.
 func checkPairing(pass *lint.Pass) {

@@ -138,25 +138,5 @@ func (g *GK) Quantile(q float64) int64 {
 	return g.tuples[len(g.tuples)-1].v
 }
 
-// Count implements Sketch.
-func (g *GK) Count() int { return g.n }
-
 // Size implements Sketch.
 func (g *GK) Size() int { return len(g.tuples) }
-
-// InvariantHolds verifies g + delta <= floor(2 eps n) + 1 for every tuple
-// and that values are sorted; tests call it after adversarial insertion
-// orders. The +1 slack accommodates the boundary tuples inserted when n was
-// smaller.
-func (g *GK) InvariantHolds() bool {
-	cap := g.capacity() + 1
-	for i, t := range g.tuples {
-		if t.g+t.delta > cap && i != 0 && i != len(g.tuples)-1 {
-			return false
-		}
-		if i > 0 && g.tuples[i-1].v > t.v {
-			return false
-		}
-	}
-	return true
-}

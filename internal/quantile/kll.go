@@ -133,9 +133,6 @@ func (s *KLL) Quantile(q float64) int64 {
 	return items[len(items)-1].v
 }
 
-// Count implements Sketch.
-func (s *KLL) Count() int { return s.n }
-
 // Size implements Sketch.
 func (s *KLL) Size() int {
 	total := 0
@@ -143,45 +140,4 @@ func (s *KLL) Size() int {
 		total += len(level)
 	}
 	return total
-}
-
-// Levels returns the number of compactor levels currently allocated.
-func (s *KLL) Levels() int { return len(s.levels) }
-
-// Merge folds the contents of other into s, implementing the mergeability
-// property that makes KLL suitable for the distributed-streams setting the
-// paper's related-work section discusses ([CTW16, CMYZ12]): level-h items
-// of other are appended to level h of s and compacted lazily on overflow.
-// other is left unchanged.
-func (s *KLL) Merge(other *KLL) {
-	if other == nil {
-		return
-	}
-	for h, level := range other.levels {
-		for h >= len(s.levels) {
-			s.levels = append(s.levels, nil)
-		}
-		s.levels[h] = append(s.levels[h], level...)
-	}
-	s.n += other.n
-	for h := 0; h < len(s.levels); h++ {
-		for len(s.levels[h]) > s.capacityAt(h) {
-			s.compact(h)
-		}
-	}
-}
-
-// WeightConserved checks that the total weighted count equals n; compaction
-// must preserve mass. Tests call it after adversarial insertions.
-func (s *KLL) WeightConserved() bool {
-	total := 0.0
-	weight := 1.0
-	for _, level := range s.levels {
-		total += weight * float64(len(level))
-		weight *= 2
-	}
-	// Compaction of an odd-sized buffer drops at most one element of
-	// that level's weight; allow the cumulative slack.
-	slack := weight // generous: sum of one element per level
-	return math.Abs(total-float64(s.n)) <= slack
 }

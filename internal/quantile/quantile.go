@@ -39,8 +39,6 @@ type Sketch interface {
 	// Quantile returns an element whose rank is approximately q*n, for
 	// q in [0, 1]. It panics if the sketch is empty.
 	Quantile(q float64) int64
-	// Count returns the number of inserted elements.
-	Count() int
 	// Size returns the number of stored tuples/values (space usage).
 	Size() int
 }
@@ -93,9 +91,6 @@ func (e *ExactRanker) Quantile(q float64) int64 {
 	}
 	return e.values[idx]
 }
-
-// Count implements Sketch.
-func (e *ExactRanker) Count() int { return len(e.values) }
 
 // Size implements Sketch.
 func (e *ExactRanker) Size() int { return len(e.values) }
@@ -151,9 +146,6 @@ func (s *SampleSketch) Quantile(q float64) int64 {
 	}
 	return sample[idx]
 }
-
-// Count implements Sketch.
-func (s *SampleSketch) Count() int { return s.res.Rounds() }
 
 // Size implements Sketch.
 func (s *SampleSketch) Size() int { return s.res.Len() }

@@ -27,16 +27,6 @@ type Box struct {
 	Lo, Hi Point
 }
 
-// Contains reports whether p lies inside the box in the first d coords.
-func (b Box) Contains(p Point, d int) bool {
-	for j := 0; j < d; j++ {
-		if p[j] < b.Lo[j] || p[j] > b.Hi[j] {
-			return false
-		}
-	}
-	return true
-}
-
 // Grid describes the universe [1, M]^D.
 type Grid struct {
 	// M is the side length.
@@ -62,9 +52,6 @@ func (g Grid) LogCardinality() float64 {
 	m := float64(g.M)
 	return float64(g.D) * math.Log(m*(m+1)/2)
 }
-
-// VCDim returns the VC-dimension of axis-aligned boxes in d dimensions, 2d.
-func (g Grid) VCDim() int { return 2 * g.D }
 
 // Valid reports whether p lies in the grid.
 func (g Grid) Valid(p Point) bool {
@@ -111,9 +98,6 @@ func NewCounter(g Grid) *Counter {
 		prefix: make([]int64, cells),
 	}
 }
-
-// Grid returns the counter's universe.
-func (c *Counter) Grid() Grid { return c.grid }
 
 // Add records one point. It panics if the point is outside the grid.
 func (c *Counter) Add(p Point) {
@@ -208,32 +192,6 @@ func (c *Counter) CountBox(b Box) int64 {
 		total += sign * c.prefix[c.index(corner)]
 	}
 	return total
-}
-
-// Estimator answers box-count queries from a sample of the stream:
-// estimate = d_B(sample) * n. With a Theorem 1.2-sized sample this is the
-// paper's robust range-query structure.
-type Estimator struct {
-	grid    Grid
-	sample  *Counter
-	streamN int
-}
-
-// NewEstimator builds an estimator from a sample of a stream with n points.
-func NewEstimator(g Grid, sample []Point, streamN int) *Estimator {
-	c := NewCounter(g)
-	for _, p := range sample {
-		c.Add(p)
-	}
-	return &Estimator{grid: g, sample: c, streamN: streamN}
-}
-
-// EstimateBox returns the estimated number of stream points in the box.
-func (e *Estimator) EstimateBox(b Box) float64 {
-	if e.sample.N() == 0 {
-		return 0
-	}
-	return float64(e.sample.CountBox(b)) / float64(e.sample.N()) * float64(e.streamN)
 }
 
 // MaxBoxDiscrepancy computes the exact epsilon-approximation error of the

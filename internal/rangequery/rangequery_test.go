@@ -9,6 +9,17 @@ import (
 	"robustsample/internal/sampler"
 )
 
+// Contains reports whether p lies inside the box in the first d coords:
+// the brute-force oracle for Counter.CountBox and MaxBoxDiscrepancy.
+func (b Box) Contains(p Point, d int) bool {
+	for j := 0; j < d; j++ {
+		if p[j] < b.Lo[j] || p[j] > b.Hi[j] {
+			return false
+		}
+	}
+	return true
+}
+
 func TestGridValidation(t *testing.T) {
 	for _, f := range []func(){
 		func() { NewGrid(0, 1) },
@@ -31,9 +42,6 @@ func TestGridLogCardinality(t *testing.T) {
 	want := 2 * math.Log(55)
 	if math.Abs(g.LogCardinality()-want) > 1e-12 {
 		t.Fatalf("logCard = %v, want %v", g.LogCardinality(), want)
-	}
-	if g.VCDim() != 4 {
-		t.Fatalf("VC dim = %d, want 4", g.VCDim())
 	}
 }
 
@@ -171,47 +179,6 @@ func TestCounterIncrementalAddAfterQuery(t *testing.T) {
 	c.Add(Point{4})
 	if c.CountBox(all) != 2 {
 		t.Fatal("count after re-add wrong; prefix sums stale")
-	}
-}
-
-func TestEstimatorAccuracyUniform(t *testing.T) {
-	g := NewGrid(16, 2)
-	r := rng.New(4)
-	const n = 20000
-	stream := make([]Point, n)
-	res := sampler.NewReservoir[Point](3000)
-	for i := range stream {
-		stream[i] = g.RandomPoint(r)
-		res.Offer(stream[i], r)
-	}
-	est := NewEstimator(g, res.View(), n)
-	exact := NewCounter(g)
-	for _, p := range stream {
-		exact.Add(p)
-	}
-	for trial := 0; trial < 100; trial++ {
-		var b Box
-		for j := 0; j < 2; j++ {
-			a := 1 + r.Int63n(16)
-			z := 1 + r.Int63n(16)
-			if a > z {
-				a, z = z, a
-			}
-			b.Lo[j], b.Hi[j] = a, z
-		}
-		got := est.EstimateBox(b)
-		want := float64(exact.CountBox(b))
-		if math.Abs(got-want) > 0.1*n {
-			t.Fatalf("box %+v: estimate %v vs exact %v", b, got, want)
-		}
-	}
-}
-
-func TestEstimatorEmptySample(t *testing.T) {
-	g := NewGrid(4, 1)
-	est := NewEstimator(g, nil, 100)
-	if est.EstimateBox(Box{Lo: Point{1}, Hi: Point{4}}) != 0 {
-		t.Fatal("empty sample estimate should be 0")
 	}
 }
 

@@ -1,14 +1,11 @@
 package rng
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 // The bulk Fill methods replace per-call draws on the batch-ingest hot path.
 // Their contract is exact: filling a buffer must consume precisely one
-// generator step per emitted value (plus zero-rejection redraws for the
-// geometric), leaving the generator in the same state as the per-call loop.
+// generator step per emitted value, leaving the generator in the same state
+// as the per-call loop.
 // These tests pin that bit-identity, including across chunk-boundary splits
 // of the same logical sequence, so bulk and per-call consumers can be mixed
 // freely without perturbing any golden table in the repository.
@@ -60,48 +57,6 @@ func TestFillFloat64MatchesFloat64(t *testing.T) {
 			}
 		}
 		assertSameState(t, a, b)
-	}
-}
-
-func TestFillGeometricInvMatchesGeometricInv(t *testing.T) {
-	for _, p := range []float64{0.001, 0.01, 0.1, 0.5, 0.9} {
-		invLogQ := 1 / math.Log1p(-p)
-		for _, split := range chunkSplits {
-			a := New(31)
-			b := New(31)
-			var bulk []int64
-			for _, n := range split {
-				buf := make([]int64, n)
-				a.FillGeometricInv(invLogQ, buf)
-				bulk = append(bulk, buf...)
-			}
-			for i, v := range bulk {
-				if w := b.GeometricInv(invLogQ); v != w {
-					t.Fatalf("p=%v split %v draw %d: bulk %d, per-call %d", p, split, i, v, w)
-				}
-			}
-			assertSameState(t, a, b)
-		}
-	}
-}
-
-// TestGoldenFillGeometricInv pins literal values (and the exact generator
-// state after the fill), in the style of the package's other golden
-// sequences: any change to the bulk geometric path shows up here first.
-func TestGoldenFillGeometricInv(t *testing.T) {
-	want := []int64{120, 71, 101, 34, 6, 253, 70, 8, 45, 50}
-	const wantHi, wantLo uint64 = 0x6f42c6d0d8b5b98a, 0xf8b9faee3d1b984b
-	r := New(424242)
-	buf := make([]int64, len(want))
-	r.FillGeometricInv(1/math.Log1p(-0.01), buf)
-	for i, w := range want {
-		if buf[i] != w {
-			t.Fatalf("FillGeometricInv draw %d = %d, want %d", i, buf[i], w)
-		}
-	}
-	hi, lo := r.State()
-	if hi != wantHi || lo != wantLo {
-		t.Fatalf("state after fill = %#x %#x, want %#x %#x", hi, lo, wantHi, wantLo)
 	}
 }
 

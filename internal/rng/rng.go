@@ -173,16 +173,6 @@ func (r *RNG) NormFloat64() float64 {
 	}
 }
 
-// ExpFloat64 returns an exponential variate with rate 1.
-func (r *RNG) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
-
 // Geometric returns the number of failures before the first success in
 // Bernoulli(p) trials. It panics unless 0 < p <= 1.
 func (r *RNG) Geometric(p float64) int64 {
@@ -237,30 +227,6 @@ func (r *RNG) FillFloat64(buf []float64) {
 	r.hi, r.lo = hi, lo
 }
 
-// FillGeometricInv fills buf with geometric gap-skip counts in one pass:
-// buf[i] is the number of failures before the i-th success in
-// Bernoulli(p) trials, with invLogQ = 1/ln(1-p) precomputed exactly as for
-// GeometricInv. The draw sequence is bit-identical to len(buf) GeometricInv
-// calls (one nonzero uniform per entry, zero-rejection included), so
-// batch-ingest loops can pre-draw a run of Bernoulli admissions and still
-// replay byte-for-byte against the per-call path.
-func (r *RNG) FillGeometricInv(invLogQ float64, buf []int64) {
-	hi, lo := r.hi, r.lo
-	for i := range buf {
-		var u float64
-		for {
-			var x uint64
-			hi, lo, x = pcgStep(hi, lo)
-			u = float64(x>>11) / (1 << 53)
-			if u != 0 {
-				break
-			}
-		}
-		buf[i] = saturateGeom(math.Floor(math.Log(u) * invLogQ))
-	}
-	r.hi, r.lo = hi, lo
-}
-
 // saturateGeom converts a floored geometric draw to int64, saturating at
 // MaxInt64: for microscopic p the exact draw overflows int64, and a
 // saturated skip is indistinguishable from it for any realizable stream.
@@ -269,16 +235,6 @@ func saturateGeom(f float64) int64 {
 		return math.MaxInt64
 	}
 	return int64(f)
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
 }
 
 // Shuffle randomizes the order of n elements using swap (Fisher-Yates).

@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -190,25 +189,6 @@ func TestGeometricOne(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(31)
-	f := func(nRaw uint8) bool {
-		n := int(nRaw%50) + 1
-		p := r.Perm(n)
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestShuffleUniformFirstElement(t *testing.T) {
 	r := New(37)
 	const n = 5
@@ -251,18 +231,6 @@ func TestZipfPanics(t *testing.T) {
 		}
 	}()
 	NewZipf(0, 1)
-}
-
-func TestExpFloat64Mean(t *testing.T) {
-	r := New(43)
-	const n = 100000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += r.ExpFloat64()
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.03 {
-		t.Fatalf("exponential mean %v too far from 1", mean)
-	}
 }
 
 func BenchmarkUint64(b *testing.B) {

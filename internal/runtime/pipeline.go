@@ -181,12 +181,6 @@ func (p *Pipeline) Producer(i int) *Producer {
 	return p.producers[i]
 }
 
-// NumShards returns the consumer lane count.
-func (p *Pipeline) NumShards() int { return p.cfg.Shards }
-
-// NumProducers returns the producer lane count.
-func (p *Pipeline) NumProducers() int { return p.cfg.Producers }
-
 // idleWait backs off while a lane is empty or full: cooperative yields
 // first (cheap, and on a loaded scheduler they hand the CPU straight to the
 // peer), then short sleeps so idle pipelines don't burn a core.
@@ -454,11 +448,6 @@ func (p *Pipeline) Applied() uint64 {
 // so far (including elements in chunks the supervisor dropped — subtract
 // ShardLost for the ingested count).
 func (p *Pipeline) ShardApplied(s int) uint64 { return p.applied[s].Load() }
-
-// Stolen returns the number of elements applied by a consumer other than
-// the shard's own — an observability counter for the work-stealing path
-// (always 0 when routing is balanced enough that no consumer goes idle).
-func (p *Pipeline) Stolen() uint64 { return p.stolen.Load() }
 
 // Flush is the drain barrier: it returns once every element whose
 // Offer/OfferBatch call returned before Flush was called has been applied

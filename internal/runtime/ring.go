@@ -61,9 +61,6 @@ func NewRing(capacity int) *Ring {
 	return r
 }
 
-// Cap returns the ring capacity.
-func (r *Ring) Cap() int { return len(r.cells) }
-
 // Push enqueues x, reporting false when the ring is full. Safe for
 // concurrent use by any number of producers.
 //

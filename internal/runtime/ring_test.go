@@ -6,6 +6,9 @@ import (
 	"testing"
 )
 
+// Cap returns the ring capacity.
+func (r *Ring) Cap() int { return len(r.cells) }
+
 func TestRingSerialFIFO(t *testing.T) {
 	r := NewRing(8)
 	if r.Cap() != 8 {

@@ -6,6 +6,11 @@ import (
 	"testing"
 )
 
+// Stolen returns the number of elements applied by a consumer other than
+// the shard's own — an observability counter for the work-stealing path
+// (always 0 when routing is balanced enough that no consumer goes idle).
+func (p *Pipeline) Stolen() uint64 { return p.stolen.Load() }
+
 // TestRingPushBatchFIFO drives PushBatch through wrap-arounds interleaved
 // with partial drains and checks the ring behaves exactly like per-element
 // pushes: same values, same order, same full/empty accounting.

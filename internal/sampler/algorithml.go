@@ -167,10 +167,6 @@ func (v *ReservoirL[T]) Len() int { return len(v.items) }
 // Rounds returns the number of elements offered so far.
 func (v *ReservoirL[T]) Rounds() int { return v.rounds }
 
-// TotalAdmitted returns the number of elements ever admitted (k' in the
-// Section 5 attack analysis).
-func (v *ReservoirL[T]) TotalAdmitted() int { return v.admitted }
-
 // Reset clears the sampler for a fresh stream.
 func (v *ReservoirL[T]) Reset() {
 	v.items = v.items[:0]

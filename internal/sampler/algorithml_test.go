@@ -8,6 +8,10 @@ import (
 	"robustsample/internal/rng"
 )
 
+// TotalAdmitted returns the number of elements ever admitted (k' in the
+// Section 5 attack analysis).
+func (v *ReservoirL[T]) TotalAdmitted() int { return v.admitted }
+
 func TestAlgorithmLCapacity(t *testing.T) {
 	r := rng.New(1)
 	v := NewReservoirL[int64](10)

@@ -80,13 +80,6 @@ func MergeSamples[T any](sampleA []T, nA int, sampleB []T, nB int, k int, r *rng
 	return out
 }
 
-// MergeReservoirs combines two reservoir samplers into a single sample of
-// size k representing the union of their streams, using MergeSamples with
-// the samplers' round counts as population sizes.
-func MergeReservoirs[T any](a, b *Reservoir[T], k int, r *rng.RNG) []T {
-	return MergeSamples(a.View(), a.Rounds(), b.View(), b.Rounds(), k, r)
-}
-
 // MergeFrom folds other's weighted sample into w. A-Res assigns every
 // stream element an independent key u^(1/weight) and keeps the K largest;
 // the keys of two disjoint substreams are jointly independent, so the K

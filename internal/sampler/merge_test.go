@@ -136,7 +136,7 @@ func TestMergeReservoirsEndToEnd(t *testing.T) {
 		for i := 0; i < nB; i++ {
 			rb.Offer(nA+i, r)
 		}
-		merged := MergeReservoirs(ra, rb, k, r)
+		merged := MergeSamples(ra.View(), ra.Rounds(), rb.View(), rb.Rounds(), k, r)
 		if len(merged) != k {
 			t.Fatalf("merged size %d", len(merged))
 		}
@@ -163,7 +163,7 @@ func BenchmarkMergeReservoirs(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MergeReservoirs(ra, rb, 500, r)
+		MergeSamples(ra.View(), ra.Rounds(), rb.View(), rb.Rounds(), 500, r)
 	}
 }
 

@@ -105,11 +105,11 @@ func (b *Bernoulli[T]) OfferBatch(xs []T, r *rng.RNG) int {
 	}
 	// Stride directly from admission to admission with the skip state in
 	// locals: rejected stretches cost one subtraction, not one branch per
-	// element. Bulk-prefilling the geometric draws (FillGeometricInv) is
-	// deliberately NOT done here: a skip can cover the whole remainder of
-	// the batch while consuming zero further draws, so prefilled skips have
-	// no consumption lower bound and would leave the generator ahead of the
-	// per-call sequence, breaking chunking invariance. One logarithm per
+	// element. The geometric draws are deliberately NOT prefilled in bulk:
+	// a skip can cover the whole remainder of the batch while consuming zero
+	// further draws, so prefilled skips have no consumption lower bound and
+	// would leave the generator ahead of the per-call sequence, breaking
+	// chunking invariance. One logarithm per
 	// admission is already the information-theoretic floor for this path.
 	admitted, i := 0, 0
 	skip, hasSkip, invLogQ := b.skip, b.hasSkip, b.invLogQ
@@ -354,13 +354,6 @@ func (v *Reservoir[T]) Reset() {
 	v.rounds = 0
 	v.admitted = 0
 	v.delta.clear()
-}
-
-// WeightedItem pairs an element with a positive weight for weighted
-// reservoir sampling.
-type WeightedItem[T any] struct {
-	Value  T
-	Weight float64
 }
 
 // WeightedReservoir implements Efraimidis-Spirakis A-Res weighted reservoir

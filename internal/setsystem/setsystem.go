@@ -48,9 +48,6 @@ type SetSystem interface {
 	// LogCardinality returns ln|R|, the term that replaces the
 	// VC-dimension in Theorem 1.2.
 	LogCardinality() float64
-	// VCDim returns the VC-dimension of the system, the term governing
-	// the static (non-adaptive) sample bound.
-	VCDim() int
 	// MaxDiscrepancy returns sup_{R} |d_R(stream) - d_R(sample)| exactly.
 	// Both inputs may be in arbitrary order; they are not mutated. An
 	// empty sample against a non-empty stream has discrepancy 1 (the
@@ -79,7 +76,6 @@ func NewPrefixes(n int64) Prefixes {
 func (p Prefixes) Name() string            { return "prefixes" }
 func (p Prefixes) UniverseSize() int64     { return p.n }
 func (p Prefixes) LogCardinality() float64 { return math.Log(float64(p.n)) }
-func (p Prefixes) VCDim() int              { return 1 }
 
 // MaxDiscrepancy computes sup_b |F_X(b) - F_S(b)|, the Kolmogorov-Smirnov
 // distance between the empirical distributions restricted to [1, N].
@@ -107,8 +103,6 @@ func (iv Intervals) LogCardinality() float64 {
 	return math.Log(n*(n+1)) - math.Log(2)
 }
 
-func (iv Intervals) VCDim() int { return 2 }
-
 // MaxDiscrepancy computes the supremum over all intervals. Writing
 // D(t) = F_X(t) - F_S(t) for the CDF difference (with D(0) = 0), the density
 // deviation of [a, b] is D(b) - D(a-1), so the supremum of its absolute value
@@ -132,7 +126,6 @@ func NewSingletons(n int64) Singletons {
 func (s Singletons) Name() string            { return "singletons" }
 func (s Singletons) UniverseSize() int64     { return s.n }
 func (s Singletons) LogCardinality() float64 { return math.Log(float64(s.n)) }
-func (s Singletons) VCDim() int              { return 1 }
 
 // MaxDiscrepancy computes max_v |freq_X(v)/|X| - freq_S(v)/|S||. Deviations
 // are compared as exact integer numerators over the common denominator
@@ -207,7 +200,6 @@ func NewSuffixes(n int64) Suffixes {
 func (s Suffixes) Name() string            { return "suffixes" }
 func (s Suffixes) UniverseSize() int64     { return s.n }
 func (s Suffixes) LogCardinality() float64 { return math.Log(float64(s.n)) }
-func (s Suffixes) VCDim() int              { return 1 }
 
 // MaxDiscrepancy computes sup_b |d_[b,N](X) - d_[b,N](S)|. Since
 // d_[b,N](T) = 1 - F_T(b-1), this equals sup over prefixes [1, b-1] with
@@ -394,88 +386,4 @@ func radixSort(xs, tmp []int64) {
 	if passes%2 == 1 {
 		copy(xs, src)
 	}
-}
-
-// Density returns d_R(T) for the explicit range [lo, hi]: the fraction of
-// elements of seq lying in [lo, hi]. It returns 0 for an empty sequence.
-func Density(seq []int64, lo, hi int64) float64 {
-	if len(seq) == 0 {
-		return 0
-	}
-	count := 0
-	for _, x := range seq {
-		if x >= lo && x <= hi {
-			count++
-		}
-	}
-	return float64(count) / float64(len(seq))
-}
-
-// IsEpsApproximation reports whether sample is an eps-approximation of
-// stream with respect to the set system, per Definition 1.1.
-func IsEpsApproximation(sys SetSystem, stream, sample []int64, eps float64) bool {
-	return sys.MaxDiscrepancy(stream, sample).Err <= eps
-}
-
-// BruteMaxDiscrepancy computes the interval discrepancy by enumerating every
-// interval [a, b] with endpoints among the values present in either sequence
-// (plus universe boundaries). It is O(V^2 * (n+s)) and exists solely as a
-// test oracle for the fast implementations.
-func BruteMaxDiscrepancy(universe int64, stream, sample []int64) Discrepancy {
-	if len(stream) == 0 {
-		return Discrepancy{}
-	}
-	valueSet := map[int64]bool{1: true, universe: true}
-	for _, v := range stream {
-		valueSet[v] = true
-	}
-	for _, v := range sample {
-		valueSet[v] = true
-	}
-	values := make([]int64, 0, len(valueSet))
-	for v := range valueSet { //robust:nondet keys are sorted before use; collection order is irrelevant
-		values = append(values, v)
-	}
-	slices.Sort(values)
-	best := Discrepancy{Lo: 1, Hi: 1}
-	for i, a := range values {
-		for _, b := range values[i:] {
-			d := math.Abs(Density(stream, a, b) - Density(sample, a, b))
-			if d > best.Err {
-				best = Discrepancy{Err: d, Lo: a, Hi: b}
-			}
-		}
-	}
-	return best
-}
-
-// BrutePrefixDiscrepancy is the prefix analogue of BruteMaxDiscrepancy,
-// enumerating every prefix [1, b].
-func BrutePrefixDiscrepancy(universe int64, stream, sample []int64) Discrepancy {
-	if len(stream) == 0 {
-		return Discrepancy{}
-	}
-	valueSet := map[int64]bool{universe: true}
-	for _, v := range stream {
-		valueSet[v] = true
-	}
-	for _, v := range sample {
-		valueSet[v] = true
-	}
-	// Sweep endpoints in ascending order: ranging over the map directly
-	// would randomize which endpoint wins a discrepancy tie, making the
-	// witness nondeterministic across runs.
-	values := make([]int64, 0, len(valueSet))
-	for v := range valueSet { //robust:nondet keys are sorted before the sweep; collection order is irrelevant
-		values = append(values, v)
-	}
-	slices.Sort(values)
-	best := Discrepancy{Lo: 1, Hi: 1}
-	for _, b := range values {
-		d := math.Abs(Density(stream, 1, b) - Density(sample, 1, b))
-		if d > best.Err {
-			best = Discrepancy{Err: d, Lo: 1, Hi: b}
-		}
-	}
-	return best
 }

@@ -11,13 +11,8 @@
 package shard
 
 import (
-	"math"
-
 	"robustsample/internal/adversary"
-	"robustsample/internal/game"
 	"robustsample/internal/rng"
-	"robustsample/internal/sampler"
-	"robustsample/internal/setsystem"
 	"robustsample/internal/stats"
 )
 
@@ -85,64 +80,5 @@ func RunTargetedBisectionUnbounded(shards, n int, p float64, root *rng.RNG) Targ
 		TargetLocal:     stats.KSDistanceInt64(targetSub, targetSample),
 		GlobalErr:       stats.KSDistanceInt64(res.Stream, union),
 		TargetSampleLen: len(targetSample),
-	}
-}
-
-// RunTargetedBisection plays the Figure-3 bisection attack against shard 0
-// of an S-shard engine with uniform routing and per-shard Bernoulli(p)
-// samplers over the universe [1, sys.UniverseSize()]. The attacker's
-// admission bit is "routed to shard 0 AND admitted there", so the attack's
-// p' is max(p/S, ln n / n), the composed admission rate — exactly how
-// Figure 3 prescribes p' for a Bernoulli-like channel.
-func RunTargetedBisection(shards, n int, p float64, sys setsystem.SetSystem, root *rng.RNG) TargetedOutcome {
-	if shards < 1 {
-		panic("shard: need at least 1 shard")
-	}
-	if n < 1 {
-		panic("shard: attack needs n >= 1")
-	}
-	eng := New(Config{
-		Shards: shards,
-		Router: Uniform{},
-		System: sys,
-		NewSampler: func(int) game.Sampler {
-			return sampler.NewBernoulli[int64](p)
-		},
-		Workers:       1,
-		RecordStreams: true,
-	}, root)
-	advRNG := root.Split()
-
-	pp := math.Max(p/float64(shards), math.Log(float64(n))/float64(n))
-	if pp >= 1 {
-		pp = 0.5
-	}
-	bi := adversary.NewBisection(sys.UniverseSize(), pp)
-	bi.Reset()
-
-	history := make([]int64, 0, n)
-	lastAdmitted := false
-	for i := 1; i <= n; i++ {
-		obs := game.Observation{
-			Round:        i,
-			N:            n,
-			Sample:       eng.ShardSampler(0).View(),
-			LastAdmitted: lastAdmitted,
-			History:      history,
-		}
-		x := bi.Next(obs, advRNG)
-		history = append(history, x)
-		si, adm := eng.Offer(x)
-		lastAdmitted = si == 0 && adm
-	}
-
-	target := eng.ShardSampler(0)
-	return TargetedOutcome{
-		S:               shards,
-		N:               n,
-		TargetVsStream:  sys.MaxDiscrepancy(eng.Stream(), target.View()).Err,
-		TargetLocal:     eng.ShardVerdict(0).Err,
-		GlobalErr:       eng.Verdict().Err,
-		TargetSampleLen: target.Len(),
 	}
 }

@@ -35,7 +35,7 @@ func BenchmarkMergedVerdict(b *testing.B) {
 				for i := range stream {
 					stream[i] = 1 + gen.Int63n(universe)
 				}
-				eng.Ingest(stream)
+				eng.OfferBatch(stream)
 				eng.Verdict() // warm the scratch engine's tables
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -78,7 +78,7 @@ func benchReingest(b *testing.B, n int, universe int64) {
 	for i := range stream {
 		stream[i] = 1 + gen.Int63n(universe)
 	}
-	eng.Ingest(stream)
+	eng.OfferBatch(stream)
 	acc := sys.NewAccumulator()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -123,7 +123,7 @@ func BenchmarkShardedIngest(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				eng.StartGame(root)
-				eng.Ingest(stream)
+				eng.OfferBatch(stream)
 				if eng.Verdict().Err < 0 {
 					b.Fatal("impossible verdict")
 				}

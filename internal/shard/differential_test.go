@@ -59,7 +59,7 @@ func TestGlobalVerdictMatchesOneShotMaxDiscrepancy(t *testing.T) {
 						for _, step := range []int{1, 36, 400, 587, n} {
 							for played < step {
 								j := min(played+211, step)
-								eng.Ingest(stream[played:j])
+								eng.OfferBatch(stream[played:j])
 								played = j
 							}
 							if played < n {
@@ -71,7 +71,7 @@ func TestGlobalVerdictMatchesOneShotMaxDiscrepancy(t *testing.T) {
 							}
 						}
 						for played < n {
-							eng.Ingest(stream[played:min(played+997, n)])
+							eng.OfferBatch(stream[played:min(played+997, n)])
 							played = min(played+997, n)
 						}
 						compareVerdict(t, sys, eng)
@@ -117,7 +117,7 @@ func TestEngineByteIdenticalAcrossWorkerCounts(t *testing.T) {
 			for j := range xs {
 				xs[j] = 1 + gen.Int63n(universe)
 			}
-			eng.Ingest(xs)
+			eng.OfferBatch(xs)
 		}
 		subs := make([][]int64, eng.NumShards())
 		for i := range subs {
@@ -172,7 +172,7 @@ func TestEngineChunkingInvariance(t *testing.T) {
 				eng.Offer(stream[played])
 				j = played + 1
 			} else {
-				eng.Ingest(stream[played:j])
+				eng.OfferBatch(stream[played:j])
 			}
 			played = j
 		}

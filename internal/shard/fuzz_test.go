@@ -39,7 +39,7 @@ func FuzzEngineSnapshotRestore(f *testing.F) {
 	for i := range stream {
 		stream[i] = 1 + src.Int63n(1<<8)
 	}
-	seed.Ingest(stream)
+	seed.OfferBatch(stream)
 	valid, err := AppendState(nil, seed)
 	if err != nil {
 		f.Fatal(err)
@@ -81,8 +81,8 @@ func FuzzEngineSnapshotRestore(f *testing.F) {
 		for i := range suffix {
 			suffix[i] = 1 + sfx.Int63n(1<<8)
 		}
-		e.Ingest(suffix)
-		g.Ingest(suffix)
+		e.OfferBatch(suffix)
+		g.OfferBatch(suffix)
 		ve, vg := e.Verdict(), g.Verdict()
 		if ve != vg {
 			t.Fatalf("restored engines diverge: %+v vs %+v", ve, vg)

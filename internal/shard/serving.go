@@ -14,7 +14,7 @@
 //     it, so samples are valid but not bit-reproducible.
 //   - Deterministic: a router goroutine merges the producer lanes in
 //     round-robin order and draws routing decisions serially from the
-//     engine's routing RNG — exactly the serial Ingest code path — so a
+//     engine's routing RNG — exactly the serial OfferBatch code path — so a
 //     stream striped across lanes (lane p takes elements p, p+P, ...)
 //     yields byte-identical samples and verdict tables to serial ingest,
 //     for every producer count. The differential tests pin this.
@@ -103,8 +103,8 @@ type Serving struct {
 
 // Serve starts a concurrent ingest pipeline over the engine. The engine
 // must be seeded (StartGame) and must not record streams; it must not be
-// touched directly — including by its own Ingest/Offer/Verdict — until the
-// returned Serving is Closed, which drains the pipeline and syncs the
+// touched directly — including by its own OfferBatch/Offer/Verdict — until
+// the returned Serving is Closed, which drains the pipeline and syncs the
 // engine's counters so serial use can resume.
 func (e *Engine) Serve(cfg ServeConfig) (*Serving, error) {
 	if e.cfg.RecordStreams {
@@ -292,11 +292,8 @@ func (e *Engine) liveRouter(s *Serving, producers int) (func(int, int64) int, fu
 	}
 }
 
-// Producer returns ingest lane i in [0, NumProducers).
+// Producer returns ingest lane i in [0, Config.Producers).
 func (s *Serving) Producer(i int) *runtime.Producer { return s.pl.Producer(i) }
-
-// NumProducers returns the producer lane count.
-func (s *Serving) NumProducers() int { return s.pl.NumProducers() }
 
 // Rounds returns the number of elements accepted so far (offered into the
 // pipeline, applied or not).

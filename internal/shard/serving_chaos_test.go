@@ -30,7 +30,7 @@ func chaosEngine(S int, router Router, seed uint64) *Engine {
 // of the rejoin contract: with every shard crashed at least once (scheduled
 // ordinals) plus probabilistic crashes, corrupt batches and delays, the
 // recovered session's samples and verdict tables must be bit-identical to
-// plain serial Ingest of the same stream — crash, restore, journal replay
+// plain serial OfferBatch of the same stream — crash, restore, journal replay
 // and retry must leave no trace. Runs under -race in CI's chaos smoke.
 func TestServingChaosDeterministicBitIdentical(t *testing.T) {
 	const (
@@ -42,7 +42,7 @@ func TestServingChaosDeterministicBitIdentical(t *testing.T) {
 
 	// Serial reference.
 	serial := chaosEngine(S, RoundRobin{}, 7)
-	serial.Ingest(stream)
+	serial.OfferBatch(stream)
 	want := observe(serial.Verdict(), serial)
 
 	for _, tc := range []struct {
@@ -81,7 +81,7 @@ func TestServingChaosDeterministicBitIdentical(t *testing.T) {
 		srv.Close()
 
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: recovered trajectory diverged from serial Ingest\n got: %+v\nwant: %+v", tc.name, got, want)
+			t.Fatalf("%s: recovered trajectory diverged from serial OfferBatch\n got: %+v\nwant: %+v", tc.name, got, want)
 		}
 		if fin := observe(eng.Verdict(), eng); !reflect.DeepEqual(fin, want) {
 			t.Fatalf("%s: post-Close engine state diverged", tc.name)

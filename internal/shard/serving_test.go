@@ -54,7 +54,7 @@ type checkpointState struct {
 // TestServingDeterministicMatchesSerial is the differential proof of the
 // deterministic pipeline mode: a stream striped across P producer lanes
 // (lane p takes elements p, p+P, ...) must yield byte-identical samples AND
-// verdict tables to serial Ingest of the original stream — at every
+// verdict tables to serial OfferBatch of the original stream — at every
 // checkpoint, for every sampler type, router, shard count and producer
 // count.
 func TestServingDeterministicMatchesSerial(t *testing.T) {
@@ -73,7 +73,7 @@ func TestServingDeterministicMatchesSerial(t *testing.T) {
 				var want []checkpointState
 				prev := 0
 				for _, cp := range checkpoints {
-					serial.Ingest(stream[prev:cp])
+					serial.OfferBatch(stream[prev:cp])
 					prev = cp
 					want = append(want, observe(serial.Verdict(), serial))
 				}
@@ -95,7 +95,7 @@ func TestServingDeterministicMatchesSerial(t *testing.T) {
 					}
 					srv.Close()
 					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s: pipeline trajectory diverged from serial Ingest\n got: %+v\nwant: %+v", name, got, want)
+						t.Fatalf("%s: pipeline trajectory diverged from serial OfferBatch\n got: %+v\nwant: %+v", name, got, want)
 					}
 					// After Close the engine is serially usable and must
 					// hold the identical final state.
@@ -275,7 +275,7 @@ func TestServingLiveStress(t *testing.T) {
 		if d.Err < 0 || d.Err > 1 {
 			t.Errorf("%s: post-Close Verdict out of range: %v", router.Name(), d)
 		}
-		eng.Ingest(servingStream(100, 5))
+		eng.OfferBatch(servingStream(100, 5))
 		if eng.Rounds() != P*perLane+100 {
 			t.Errorf("%s: post-Close serial ingest broken: rounds %d", router.Name(), eng.Rounds())
 		}
@@ -317,7 +317,7 @@ func TestServingSnapshotRoundTrip(t *testing.T) {
 	if err := LoadState(snapshot.NewReader(state), twin); err != nil {
 		t.Fatal(err)
 	}
-	twin.Ingest(stream[2000:])
+	twin.OfferBatch(stream[2000:])
 	if got, want := twin.Verdict(), eng.Verdict(); got != want {
 		t.Fatalf("restored engine verdict %v, original %v", got, want)
 	}
@@ -343,8 +343,8 @@ func TestMergeFromEngine(t *testing.T) {
 		b := New(cfg, rng.New(2))
 		sa := servingStream(2500, 31)
 		sb := servingStream(1800, 32)
-		a.Ingest(sa)
-		b.Ingest(sb)
+		a.OfferBatch(sa)
+		b.OfferBatch(sb)
 		if err := a.MergeFromEngine(b); err != nil {
 			t.Fatalf("%s: MergeFromEngine: %v", tc.name, err)
 		}
@@ -363,8 +363,8 @@ func TestMergeFromEngine(t *testing.T) {
 		NewSampler: func(int) game.Sampler { return sampler.NewReservoirL[int64](16) }, Workers: 1}
 	a := New(cfgL, rng.New(1))
 	b := New(cfgL, rng.New(2))
-	a.Ingest(servingStream(200, 41))
-	b.Ingest(servingStream(200, 42))
+	a.OfferBatch(servingStream(200, 41))
+	b.OfferBatch(servingStream(200, 42))
 	if err := a.MergeFromEngine(b); err == nil {
 		t.Error("Algorithm L engines merged; want ErrMergeSampler")
 	}

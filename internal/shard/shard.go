@@ -201,18 +201,14 @@ func (e *Engine) offerTo(sh *shardState, x int64) bool {
 	return admitted
 }
 
-// Ingest routes a run of consecutive elements and ingests each shard's share
-// in parallel on the core worker pool. Routing decisions are drawn serially
-// in element order before the fan-out and each shard mutates only its own
+// OfferBatch routes a run of consecutive elements, ingests each shard's
+// share in parallel on the core worker pool, and reports how many elements
+// entered some shard's sample. Routing decisions are drawn serially in
+// element order before the fan-out and each shard mutates only its own
 // state, so the result is byte-identical for every worker count — and,
 // because the samplers' batch paths and the accumulator are
 // chunking-invariant, identical no matter how the stream is sliced across
-// Ingest calls.
-func (e *Engine) Ingest(xs []int64) { e.OfferBatch(xs) }
-
-// OfferBatch is Ingest reporting how many elements entered some shard's
-// sample — the canonical bulk-ingest name, matching the public Sketch
-// contract.
+// OfferBatch calls.
 //
 //robust:hotpath
 func (e *Engine) OfferBatch(xs []int64) int {
@@ -360,9 +356,6 @@ func (e *Engine) SampleLen() int {
 	}
 	return n
 }
-
-// ShardSampler returns shard i's sampler (nil on a routing-only engine).
-func (e *Engine) ShardSampler(i int) game.Sampler { return e.shards[i].sampler }
 
 // ShardRounds returns the length of shard i's substream.
 func (e *Engine) ShardRounds(i int) int { return e.shards[i].rounds }

@@ -42,7 +42,7 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 			for i := range stream {
 				stream[i] = 1 + src.Int63n(1<<12)
 			}
-			e.Ingest(stream[:2000])
+			e.OfferBatch(stream[:2000])
 			before := e.Verdict()
 
 			s1, err := AppendState(nil, e)
@@ -70,7 +70,7 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 			}
 
 			// Continuation: same traffic through both engines (mixing
-			// Ingest and the adaptive Offer path) stays bit-identical.
+			// OfferBatch and the adaptive Offer path) stays bit-identical.
 			for _, x := range stream[2000:2100] {
 				se, ae := e.Offer(x)
 				sf, af := f.Offer(x)
@@ -78,8 +78,8 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 					t.Fatal("per-element continuation diverged after restore")
 				}
 			}
-			e.Ingest(stream[2100:])
-			f.Ingest(stream[2100:])
+			e.OfferBatch(stream[2100:])
+			f.OfferBatch(stream[2100:])
 			if got, want := f.Verdict(), e.Verdict(); got != want {
 				t.Fatalf("continuation verdict %v != %v", got, want)
 			}
@@ -92,7 +92,7 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 
 func TestEngineSnapshotStructuralMismatch(t *testing.T) {
 	e := New(snapTestConfig(func(int) game.Sampler { return sampler.NewReservoir[int64](8) }), rng.New(1))
-	e.Ingest([]int64{1, 2, 3, 4, 5})
+	e.OfferBatch([]int64{1, 2, 3, 4, 5})
 	snap, err := AppendState(nil, e)
 	if err != nil {
 		t.Fatal(err)

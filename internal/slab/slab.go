@@ -200,15 +200,6 @@ func (a *Arena) Words(ref Ref) []uint64 {
 	return a.slotWords(&a.classes[ref.class()], ref.index())
 }
 
-// ClassOf returns the size-class index ref was allocated from.
-func (a *Arena) ClassOf(ref Ref) int { return ref.class() }
-
-// ItemCap returns the item capacity of a size class.
-func (a *Arena) ItemCap(class int) int { return a.classes[class].itemCap }
-
-// Classes returns the number of size classes.
-func (a *Arena) Classes() int { return len(a.classes) }
-
 // Stats is an allocation snapshot.
 type Stats struct {
 	// Live is the number of allocated slots.

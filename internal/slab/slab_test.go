@@ -5,6 +5,15 @@ import (
 	"testing"
 )
 
+// ClassOf returns the size-class index ref was allocated from.
+func (a *Arena) ClassOf(ref Ref) int { return ref.class() }
+
+// ItemCap returns the item capacity of a size class.
+func (a *Arena) ItemCap(class int) int { return a.classes[class].itemCap }
+
+// Classes returns the number of size classes.
+func (a *Arena) Classes() int { return len(a.classes) }
+
 func TestAllocFreeReuse(t *testing.T) {
 	a, err := New([]Class{{ItemCap: 4, WordCap: 2}}, Config{SlotsPerChunk: 2})
 	if err != nil {

@@ -1,8 +1,7 @@
 // Package stats provides the statistical machinery shared by the experiment
 // harness and the tests: summary statistics over repeated trials,
-// Kolmogorov-Smirnov distances, Wilson score confidence intervals for
-// failure probabilities, histograms, and the Freedman martingale tail bound
-// of Lemma 3.3 that internal/core's martingale trackers report.
+// Kolmogorov-Smirnov distances, and Wilson score confidence intervals for
+// failure probabilities.
 package stats
 
 import (
@@ -213,44 +212,4 @@ func KSDistanceInt64(a, b []int64) float64 {
 		fb[i] = float64(v)
 	}
 	return KSDistance(fa, fb)
-}
-
-// FreedmanBound bounds Pr[|X_n - X_0| >= lambda] for a martingale with
-// per-step conditional variance bounds sigma2 (summed into sumVar) and
-// maximum step M, per Lemma 3.3 (Chung-Lu Theorem 6.1):
-//
-//	2 * exp( -lambda^2 / (2*sumVar + M*lambda/3) ).
-func FreedmanBound(lambda, sumVar, m float64) float64 {
-	if lambda <= 0 {
-		return 1
-	}
-	b := 2 * math.Exp(-lambda*lambda/(2*sumVar+m*lambda/3))
-	if b > 1 {
-		return 1
-	}
-	return b
-}
-
-// Histogram builds a fixed-width histogram over [lo, hi) with the given
-// number of bins; values outside the range are clamped into the edge bins.
-func Histogram(xs []float64, lo, hi float64, bins int) []int {
-	if bins <= 0 {
-		panic("stats: Histogram needs bins > 0")
-	}
-	if hi <= lo {
-		panic("stats: Histogram needs hi > lo")
-	}
-	counts := make([]int, bins)
-	w := (hi - lo) / float64(bins)
-	for _, x := range xs {
-		idx := int((x - lo) / w)
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= bins {
-			idx = bins - 1
-		}
-		counts[idx]++
-	}
-	return counts
 }

@@ -197,36 +197,6 @@ func TestKSInt64MatchesFloat(t *testing.T) {
 	}
 }
 
-func TestFreedmanBound(t *testing.T) {
-	// More variance => weaker (larger) bound.
-	if FreedmanBound(5, 1, 0.1) >= FreedmanBound(5, 10, 0.1) {
-		t.Fatal("Freedman not monotone in variance")
-	}
-	if FreedmanBound(0, 1, 1) != 1 {
-		t.Fatal("lambda=0 should give trivial bound")
-	}
-	if b := FreedmanBound(1e9, 1, 0.000001); b > 1e-10 {
-		t.Fatalf("huge deviation should be tiny, got %v", b)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := Histogram([]float64{0, 0.1, 0.5, 0.9, 1.5, -1}, 0, 1, 2)
-	// -1 clamps to bin 0; 1.5 clamps to bin 1.
-	if h[0] != 3 || h[1] != 3 {
-		t.Fatalf("histogram = %v", h)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for bins=0")
-		}
-	}()
-	Histogram(nil, 0, 1, 0)
-}
-
 func TestMeanMax(t *testing.T) {
 	if Mean([]float64{1, 3}) != 2 {
 		t.Fatal("Mean wrong")

@@ -35,7 +35,7 @@ func Example() {
 	for i := range batch {
 		batch[i] = 1 + r.Int63n(1<<16)
 	}
-	if err := e.Ingest(batch); err != nil {
+	if _, err := e.OfferBatch(batch); err != nil {
 		panic(err)
 	}
 

@@ -115,7 +115,7 @@ type Producer[T any] struct {
 
 // Serve starts a concurrent ingest session configured by WithPipeline.
 // While the session is open the engine's mutating methods (Offer,
-// OfferBatch/Ingest, MergeFrom, Restore; Reset is ignored) report
+// OfferBatch, MergeFrom, Restore; Reset is ignored) report
 // ErrServing, and its read methods (Verdict, ShardVerdict, Sample, Query,
 // GlobalSample, Snapshot, Rounds, ...) delegate to the session's read
 // barriers — so code holding the engine as a sketch.Sketch[T] keeps

@@ -442,15 +442,6 @@ func (e *Engine[T]) OfferBatch(xs []T) (int, error) {
 	return e.inner.OfferBatch(buf), nil
 }
 
-// Ingest routes a run of consecutive elements.
-//
-// Deprecated: Ingest is OfferBatch without the admitted count; it remains
-// as a thin alias for source compatibility.
-func (e *Engine[T]) Ingest(xs []T) error {
-	_, err := e.OfferBatch(xs)
-	return err
-}
-
 // decodeVerdict maps an internal discrepancy to the decoded form.
 func (e *Engine[T]) decodeVerdict(d setsystem.Discrepancy) (Verdict[T], error) {
 	v := Verdict[T]{Err: d.Err}

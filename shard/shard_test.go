@@ -63,8 +63,8 @@ func TestValidation(t *testing.T) {
 	if _, _, err := e.OfferRouted(0); !errors.Is(err, sketch.ErrOutOfUniverse) {
 		t.Fatalf("OfferRouted(0) err = %v, want ErrOutOfUniverse", err)
 	}
-	if err := e.Ingest([]int64{1, 2, 2000}); !errors.Is(err, sketch.ErrOutOfUniverse) {
-		t.Fatalf("Ingest err = %v, want ErrOutOfUniverse", err)
+	if _, err := e.OfferBatch([]int64{1, 2, 2000}); !errors.Is(err, sketch.ErrOutOfUniverse) {
+		t.Fatalf("OfferBatch err = %v, want ErrOutOfUniverse", err)
 	}
 	if e.Rounds() != 0 {
 		t.Fatal("failed ingest routed elements")
@@ -89,7 +89,7 @@ func TestVerdictMatchesOneShot(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := e.Ingest(stream); err != nil {
+			if _, err := e.OfferBatch(stream); err != nil {
 				t.Fatal(err)
 			}
 			got, err := e.Verdict()
@@ -123,14 +123,14 @@ func TestWorkerAndChunkInvariance(t *testing.T) {
 		return e
 	}
 	ref := build(1)
-	if err := ref.Ingest(stream); err != nil {
+	if _, err := ref.OfferBatch(stream); err != nil {
 		t.Fatal(err)
 	}
 	refVerdict, _ := ref.Verdict()
 
 	parallel := build(4)
 	for i := 0; i < len(stream); i += 113 {
-		if err := parallel.Ingest(stream[i:min(i+113, len(stream))]); err != nil {
+		if _, err := parallel.OfferBatch(stream[i:min(i+113, len(stream))]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -159,7 +159,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	stream := testStream(3000, universe, 41)
 	e := build(7)
-	if err := e.Ingest(stream[:2000]); err != nil {
+	if _, err := e.OfferBatch(stream[:2000]); err != nil {
 		t.Fatal(err)
 	}
 	before, _ := e.Verdict()
@@ -188,10 +188,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 	// Continuation is bit-identical: same traffic, same verdicts, same
 	// coordinator samples.
-	if err := e.Ingest(stream[2000:]); err != nil {
+	if _, err := e.OfferBatch(stream[2000:]); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Ingest(stream[2000:]); err != nil {
+	if _, err := f.OfferBatch(stream[2000:]); err != nil {
 		t.Fatal(err)
 	}
 	ve, _ := e.Verdict()
@@ -228,7 +228,7 @@ func TestResetReplaysIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 	stream := testStream(1000, 1<<10, 9)
-	if err := e.Ingest(stream); err != nil {
+	if _, err := e.OfferBatch(stream); err != nil {
 		t.Fatal(err)
 	}
 	v1, _ := e.Verdict()
@@ -237,7 +237,7 @@ func TestResetReplaysIdentically(t *testing.T) {
 	if e.Rounds() != 0 || e.SampleLen() != 0 {
 		t.Fatal("Reset did not clear")
 	}
-	if err := e.Ingest(stream); err != nil {
+	if _, err := e.OfferBatch(stream); err != nil {
 		t.Fatal(err)
 	}
 	v2, _ := e.Verdict()
@@ -256,7 +256,7 @@ func TestStringShardEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	words := []string{"apple", "banana", "apple", "cherry", "apple", "date"}
-	if err := e.Ingest(words); err != nil {
+	if _, err := e.OfferBatch(words); err != nil {
 		t.Fatal(err)
 	}
 	v, err := e.Verdict()

@@ -163,15 +163,115 @@ func sameUniverse[T any](a, b *base[T]) error {
 }
 
 // ---------------------------------------------------------------------------
+// The shared sampler core
+
+// sampled is the part of an int64 sampler that samplerCore reads.
+type sampled interface {
+	View() []int64
+	Len() int
+	Rounds() int
+	Reset()
+}
+
+// samplerCore is the state every sampler sketch shares: the universe codec
+// and RNG, the int64 sampler over encoded points, and the sampler's frame
+// kind with its snapshot codec pair. It implements the Sketch methods that do
+// not depend on how the sampler admits elements.
+type samplerCore[T any, S sampled] struct {
+	base        base[T]
+	inner       S
+	kind        byte
+	appendState func([]byte, S) []byte
+	loadState   func(*snapshot.Reader, S) error
+}
+
+// View implements Sketch.
+func (s *samplerCore[T, S]) View() []T { return s.base.decodeAll(s.inner.View()) }
+
+// EncodedView returns the sample as universe points without copying;
+// callers must not mutate it. This is what the discrepancy engines consume.
+func (s *samplerCore[T, S]) EncodedView() []int64 { return s.inner.View() }
+
+// Len implements Sketch.
+func (s *samplerCore[T, S]) Len() int { return s.inner.Len() }
+
+// Rounds implements Sketch.
+func (s *samplerCore[T, S]) Rounds() int { return s.inner.Rounds() }
+
+// Query implements Sketch.
+func (s *samplerCore[T, S]) Query(lo, hi T) (float64, error) {
+	elo, ehi, err := s.base.encodedRange(lo, hi)
+	if err != nil {
+		return 0, err
+	}
+	return rangeDensity(s.inner.View(), elo, ehi)
+}
+
+// Reset implements Sketch.
+func (s *samplerCore[T, S]) Reset() {
+	s.inner.Reset()
+	s.base.reset()
+}
+
+// Snapshot implements Sketch.
+func (s *samplerCore[T, S]) Snapshot() ([]byte, error) {
+	return s.appendState(s.base.appendSnapHeader(nil, s.kind), s.inner), nil
+}
+
+// Restore implements Sketch. On error the sketch state is unspecified;
+// Reset recovers a usable empty sketch.
+func (s *samplerCore[T, S]) Restore(data []byte) error {
+	r, hi, lo, err := s.base.readSnapHeader(data, s.kind)
+	if err != nil {
+		return err
+	}
+	if err := s.loadState(r, s.inner); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+	}
+	return s.base.finishRestore(r, hi, lo, s.inner.View())
+}
+
+// offerer is an int64 sampler that admits unweighted elements.
+type offerer interface {
+	sampled
+	Offer(x int64, r *rng.RNG) bool
+	OfferBatch(xs []int64, r *rng.RNG) int
+}
+
+// unweightedCore adds the Sketch offers to the core of an unweighted
+// sampler.
+type unweightedCore[T any, S offerer] struct {
+	samplerCore[T, S]
+}
+
+// Offer implements Sketch.
+func (s *unweightedCore[T, S]) Offer(x T) (bool, error) {
+	p, err := s.base.u.Encode(x)
+	if err != nil {
+		return false, err
+	}
+	return s.inner.Offer(p, s.base.rng), nil
+}
+
+// OfferBatch implements Sketch.
+func (s *unweightedCore[T, S]) OfferBatch(xs []T) (int, error) {
+	ps, err := s.base.encodeBatch(xs)
+	if err != nil {
+		return 0, err
+	}
+	return s.inner.OfferBatch(ps, s.base.rng), nil
+}
+
+// ---------------------------------------------------------------------------
 // Reservoir (Algorithm R)
 
 // Reservoir is the paper's ReservoirSample (Vitter's Algorithm R) over an
 // arbitrary ordered universe: a uniform without-replacement sample of fixed
 // capacity. Sized per Theorem 1.2 (NewRobustReservoir) it is an
-// (eps, delta)-approximation against fully adaptive adversaries.
+// (eps, delta)-approximation against fully adaptive adversaries. OfferBatch
+// draws randomness bit-identically to per-element Offers.
 type Reservoir[T any] struct {
-	base  base[T]
-	inner *sampler.Reservoir[int64]
+	unweightedCore[T, *sampler.Reservoir[int64]]
 }
 
 var _ Sketch[int64] = (*Reservoir[int64])(nil)
@@ -185,7 +285,10 @@ func NewReservoir[T any](u Universe[T], k int, opts ...Option) (*Reservoir[T], e
 	if k < 1 {
 		return nil, fmt.Errorf("%w: k=%d", ErrBadMemory, k)
 	}
-	return &Reservoir[T]{base: b, inner: sampler.NewReservoir[int64](k)}, nil
+	return &Reservoir[T]{unweightedCore[T, *sampler.Reservoir[int64]]{samplerCore[T, *sampler.Reservoir[int64]]{
+		base: b, inner: sampler.NewReservoir[int64](k),
+		kind: kindReservoir, appendState: sampler.AppendReservoirState, loadState: sampler.LoadReservoirState,
+	}}}, nil
 }
 
 // NewRobustReservoir returns a reservoir sized per Theorem 1.2 for the
@@ -225,47 +328,6 @@ func (s *Reservoir[T]) K() int { return s.inner.K }
 // bounds E[k'] <= 2k ln n under any adaptive attack).
 func (s *Reservoir[T]) TotalAdmitted() int { return s.inner.TotalAdmitted() }
 
-// Offer implements Sketch.
-func (s *Reservoir[T]) Offer(x T) (bool, error) {
-	p, err := s.base.u.Encode(x)
-	if err != nil {
-		return false, err
-	}
-	return s.inner.Offer(p, s.base.rng), nil
-}
-
-// OfferBatch implements Sketch; the batch draws randomness bit-identically
-// to per-element Offers.
-func (s *Reservoir[T]) OfferBatch(xs []T) (int, error) {
-	ps, err := s.base.encodeBatch(xs)
-	if err != nil {
-		return 0, err
-	}
-	return s.inner.OfferBatch(ps, s.base.rng), nil
-}
-
-// View implements Sketch.
-func (s *Reservoir[T]) View() []T { return s.base.decodeAll(s.inner.View()) }
-
-// EncodedView returns the sample as universe points without copying;
-// callers must not mutate it. This is what the discrepancy engines consume.
-func (s *Reservoir[T]) EncodedView() []int64 { return s.inner.View() }
-
-// Len implements Sketch.
-func (s *Reservoir[T]) Len() int { return s.inner.Len() }
-
-// Rounds implements Sketch.
-func (s *Reservoir[T]) Rounds() int { return s.inner.Rounds() }
-
-// Query implements Sketch.
-func (s *Reservoir[T]) Query(lo, hi T) (float64, error) {
-	elo, ehi, err := s.base.encodedRange(lo, hi)
-	if err != nil {
-		return 0, err
-	}
-	return rangeDensity(s.inner.View(), elo, ehi)
-}
-
 // MergeFrom implements Sketch: the receiver becomes a uniform sample of the
 // concatenated streams, drawn from the two samples alone by
 // population-weighted interleaving (sampler.MergeSamples, the
@@ -295,42 +357,19 @@ func (s *Reservoir[T]) MergeFrom(other Sketch[T]) error {
 	return nil
 }
 
-// Reset implements Sketch.
-func (s *Reservoir[T]) Reset() {
-	s.inner.Reset()
-	s.base.reset()
-}
-
-// Snapshot implements Sketch.
-func (s *Reservoir[T]) Snapshot() ([]byte, error) {
-	buf := s.base.appendSnapHeader(nil, kindReservoir)
-	return sampler.AppendReservoirState(buf, s.inner), nil
-}
-
-// Restore implements Sketch. On error the sketch state is unspecified;
-// Reset recovers a usable empty sketch.
-func (s *Reservoir[T]) Restore(data []byte) error {
-	r, hi, lo, err := s.base.readSnapHeader(data, kindReservoir)
-	if err != nil {
-		return err
-	}
-	if err := sampler.LoadReservoirState(r, s.inner); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	return s.base.finishRestore(r, hi, lo, s.inner.View())
-}
-
 // ---------------------------------------------------------------------------
 // ReservoirL (Algorithm L)
 
 // ReservoirL is Vitter's Algorithm L: the same sample distribution (and the
 // same adversarial robustness — admissions are value-oblivious) as
 // Reservoir at O(k log(n/k)) expected random draws, the variant to deploy
-// on high-throughput streams. Its skip state is not mergeable without bias,
-// so MergeFrom reports ErrUnsupportedMerge; snapshots fully round-trip.
+// on high-throughput streams. OfferBatch consumes pending skips in one jump,
+// so long rejected stretches cost O(1) per batch. Its skip state is not
+// mergeable without bias, so MergeFrom reports ErrUnsupportedMerge;
+// snapshots include the skip machinery, so a restored sketch continues the
+// exact skip sequence.
 type ReservoirL[T any] struct {
-	base  base[T]
-	inner *sampler.ReservoirL[int64]
+	unweightedCore[T, *sampler.ReservoirL[int64]]
 }
 
 var _ Sketch[int64] = (*ReservoirL[int64])(nil)
@@ -344,82 +383,19 @@ func NewReservoirL[T any](u Universe[T], k int, opts ...Option) (*ReservoirL[T],
 	if k < 1 {
 		return nil, fmt.Errorf("%w: k=%d", ErrBadMemory, k)
 	}
-	return &ReservoirL[T]{base: b, inner: sampler.NewReservoirL[int64](k)}, nil
+	return &ReservoirL[T]{unweightedCore[T, *sampler.ReservoirL[int64]]{samplerCore[T, *sampler.ReservoirL[int64]]{
+		base: b, inner: sampler.NewReservoirL[int64](k),
+		kind: kindReservoirL, appendState: sampler.AppendReservoirLState, loadState: sampler.LoadReservoirLState,
+	}}}, nil
 }
 
 // K returns the reservoir capacity.
 func (s *ReservoirL[T]) K() int { return s.inner.K }
 
-// Offer implements Sketch.
-func (s *ReservoirL[T]) Offer(x T) (bool, error) {
-	p, err := s.base.u.Encode(x)
-	if err != nil {
-		return false, err
-	}
-	return s.inner.Offer(p, s.base.rng), nil
-}
-
-// OfferBatch implements Sketch; pending skips are consumed in one jump, so
-// long rejected stretches cost O(1) per batch.
-func (s *ReservoirL[T]) OfferBatch(xs []T) (int, error) {
-	ps, err := s.base.encodeBatch(xs)
-	if err != nil {
-		return 0, err
-	}
-	return s.inner.OfferBatch(ps, s.base.rng), nil
-}
-
-// View implements Sketch.
-func (s *ReservoirL[T]) View() []T { return s.base.decodeAll(s.inner.View()) }
-
-// EncodedView returns the sample as universe points without copying;
-// callers must not mutate it.
-func (s *ReservoirL[T]) EncodedView() []int64 { return s.inner.View() }
-
-// Len implements Sketch.
-func (s *ReservoirL[T]) Len() int { return s.inner.Len() }
-
-// Rounds implements Sketch.
-func (s *ReservoirL[T]) Rounds() int { return s.inner.Rounds() }
-
-// Query implements Sketch.
-func (s *ReservoirL[T]) Query(lo, hi T) (float64, error) {
-	elo, ehi, err := s.base.encodedRange(lo, hi)
-	if err != nil {
-		return 0, err
-	}
-	return rangeDensity(s.inner.View(), elo, ehi)
-}
-
 // MergeFrom implements Sketch by reporting ErrUnsupportedMerge: Algorithm
 // L's pre-drawn skip schedule cannot absorb another sample without biasing
 // future admissions. Use Reservoir when fan-in is needed.
 func (s *ReservoirL[T]) MergeFrom(Sketch[T]) error { return ErrUnsupportedMerge }
-
-// Reset implements Sketch.
-func (s *ReservoirL[T]) Reset() {
-	s.inner.Reset()
-	s.base.reset()
-}
-
-// Snapshot implements Sketch; the Algorithm L skip machinery is included,
-// so a restored sketch continues the exact skip sequence.
-func (s *ReservoirL[T]) Snapshot() ([]byte, error) {
-	buf := s.base.appendSnapHeader(nil, kindReservoirL)
-	return sampler.AppendReservoirLState(buf, s.inner), nil
-}
-
-// Restore implements Sketch.
-func (s *ReservoirL[T]) Restore(data []byte) error {
-	r, hi, lo, err := s.base.readSnapHeader(data, kindReservoirL)
-	if err != nil {
-		return err
-	}
-	if err := sampler.LoadReservoirLState(r, s.inner); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	return s.base.finishRestore(r, hi, lo, s.inner.View())
-}
 
 // ---------------------------------------------------------------------------
 // Bernoulli
@@ -428,9 +404,11 @@ func (s *ReservoirL[T]) Restore(data []byte) error {
 // independently with probability P. Sized per Theorem 1.2
 // (NewRobustBernoulli) it is (eps, delta)-robust against adaptive
 // adversaries; unlike the reservoirs its memory grows with the stream.
+// OfferBatch gap-skips rejected stretches with one geometric draw per
+// admitted element — O(P·n) RNG work — selecting an equally distributed
+// (not bit-identical) sample versus per-element Offers.
 type Bernoulli[T any] struct {
-	base  base[T]
-	inner *sampler.Bernoulli[int64]
+	unweightedCore[T, *sampler.Bernoulli[int64]]
 }
 
 var _ Sketch[int64] = (*Bernoulli[int64])(nil)
@@ -444,7 +422,10 @@ func NewBernoulli[T any](u Universe[T], p float64, opts ...Option) (*Bernoulli[T
 	if p < 0 || p > 1 || math.IsNaN(p) {
 		return nil, fmt.Errorf("%w: p=%v", ErrBadRate, p)
 	}
-	return &Bernoulli[T]{base: b, inner: sampler.NewBernoulli[int64](p)}, nil
+	return &Bernoulli[T]{unweightedCore[T, *sampler.Bernoulli[int64]]{samplerCore[T, *sampler.Bernoulli[int64]]{
+		base: b, inner: sampler.NewBernoulli[int64](p),
+		kind: kindBernoulli, appendState: sampler.AppendBernoulliState, loadState: sampler.LoadBernoulliState,
+	}}}, nil
 }
 
 // NewRobustBernoulli returns a Bernoulli sketch with the Theorem 1.2 rate
@@ -462,49 +443,6 @@ func NewRobustBernoulli[T any](u Universe[T], eps, delta float64, n int, opts ..
 
 // P returns the admission rate.
 func (s *Bernoulli[T]) P() float64 { return s.inner.P }
-
-// Offer implements Sketch.
-func (s *Bernoulli[T]) Offer(x T) (bool, error) {
-	p, err := s.base.u.Encode(x)
-	if err != nil {
-		return false, err
-	}
-	return s.inner.Offer(p, s.base.rng), nil
-}
-
-// OfferBatch implements Sketch. The batch path gap-skips rejected
-// stretches with one geometric draw per admitted element — O(P·n) RNG work
-// — selecting an equally distributed (not bit-identical) sample versus
-// per-element Offers.
-func (s *Bernoulli[T]) OfferBatch(xs []T) (int, error) {
-	ps, err := s.base.encodeBatch(xs)
-	if err != nil {
-		return 0, err
-	}
-	return s.inner.OfferBatch(ps, s.base.rng), nil
-}
-
-// View implements Sketch.
-func (s *Bernoulli[T]) View() []T { return s.base.decodeAll(s.inner.View()) }
-
-// EncodedView returns the sample as universe points without copying;
-// callers must not mutate it.
-func (s *Bernoulli[T]) EncodedView() []int64 { return s.inner.View() }
-
-// Len implements Sketch.
-func (s *Bernoulli[T]) Len() int { return s.inner.Len() }
-
-// Rounds implements Sketch.
-func (s *Bernoulli[T]) Rounds() int { return s.inner.Rounds() }
-
-// Query implements Sketch.
-func (s *Bernoulli[T]) Query(lo, hi T) (float64, error) {
-	elo, ehi, err := s.base.encodedRange(lo, hi)
-	if err != nil {
-		return 0, err
-	}
-	return rangeDensity(s.inner.View(), elo, ehi)
-}
 
 // MergeFrom implements Sketch. Both sketches must share the admission rate;
 // the union of two Bernoulli(p) samples over disjoint streams is exactly a
@@ -525,40 +463,17 @@ func (s *Bernoulli[T]) MergeFrom(other Sketch[T]) error {
 	return nil
 }
 
-// Reset implements Sketch.
-func (s *Bernoulli[T]) Reset() {
-	s.inner.Reset()
-	s.base.reset()
-}
-
-// Snapshot implements Sketch.
-func (s *Bernoulli[T]) Snapshot() ([]byte, error) {
-	buf := s.base.appendSnapHeader(nil, kindBernoulli)
-	return sampler.AppendBernoulliState(buf, s.inner), nil
-}
-
-// Restore implements Sketch.
-func (s *Bernoulli[T]) Restore(data []byte) error {
-	r, hi, lo, err := s.base.readSnapHeader(data, kindBernoulli)
-	if err != nil {
-		return err
-	}
-	if err := sampler.LoadBernoulliState(r, s.inner); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	return s.base.finishRestore(r, hi, lo, s.inner.View())
-}
-
 // ---------------------------------------------------------------------------
 // Weighted (Efraimidis-Spirakis A-Res)
 
 // Weighted is the Efraimidis-Spirakis weighted reservoir of Section 1.3:
 // each element receives key u^(1/w) and the K largest keys are kept, so
 // inclusion probability grows with weight. Offer uses weight 1; use
-// OfferWeighted for explicit weights.
+// OfferWeighted for explicit weights. View returns the sample in heap order,
+// not insertion order, and snapshots store the keys in heap order, which
+// round-trips exactly.
 type Weighted[T any] struct {
-	base  base[T]
-	inner *sampler.WeightedReservoir[int64]
+	samplerCore[T, *sampler.WeightedReservoir[int64]]
 }
 
 var _ Sketch[int64] = (*Weighted[int64])(nil)
@@ -572,7 +487,10 @@ func NewWeighted[T any](u Universe[T], k int, opts ...Option) (*Weighted[T], err
 	if k < 1 {
 		return nil, fmt.Errorf("%w: k=%d", ErrBadMemory, k)
 	}
-	return &Weighted[T]{base: b, inner: sampler.NewWeightedReservoir[int64](k)}, nil
+	return &Weighted[T]{samplerCore[T, *sampler.WeightedReservoir[int64]]{
+		base: b, inner: sampler.NewWeightedReservoir[int64](k),
+		kind: kindWeighted, appendState: sampler.AppendWeightedState, loadState: sampler.LoadWeightedState,
+	}}, nil
 }
 
 // K returns the reservoir capacity.
@@ -607,28 +525,6 @@ func (s *Weighted[T]) OfferBatch(xs []T) (int, error) {
 	return admitted, nil
 }
 
-// View implements Sketch; the order is heap order, not insertion order.
-func (s *Weighted[T]) View() []T { return s.base.decodeAll(s.inner.View()) }
-
-// EncodedView returns the sample as universe points without copying;
-// callers must not mutate it.
-func (s *Weighted[T]) EncodedView() []int64 { return s.inner.View() }
-
-// Len implements Sketch.
-func (s *Weighted[T]) Len() int { return s.inner.Len() }
-
-// Rounds implements Sketch.
-func (s *Weighted[T]) Rounds() int { return s.inner.Rounds() }
-
-// Query implements Sketch.
-func (s *Weighted[T]) Query(lo, hi T) (float64, error) {
-	elo, ehi, err := s.base.encodedRange(lo, hi)
-	if err != nil {
-		return 0, err
-	}
-	return rangeDensity(s.inner.View(), elo, ehi)
-}
-
 // MergeFrom implements Sketch. A-Res keys are independent per element, so
 // the top-K keys of the union of two key sets are exactly the A-Res sample
 // of the concatenated weighted stream — merging keeps the K largest keys
@@ -652,29 +548,4 @@ func (s *Weighted[T]) MergeFrom(other Sketch[T]) error {
 	}
 	s.inner.MergeFrom(o.inner)
 	return nil
-}
-
-// Reset implements Sketch.
-func (s *Weighted[T]) Reset() {
-	s.inner.Reset()
-	s.base.reset()
-}
-
-// Snapshot implements Sketch; keys are stored in heap order, which
-// round-trips exactly.
-func (s *Weighted[T]) Snapshot() ([]byte, error) {
-	buf := s.base.appendSnapHeader(nil, kindWeighted)
-	return sampler.AppendWeightedState(buf, s.inner), nil
-}
-
-// Restore implements Sketch.
-func (s *Weighted[T]) Restore(data []byte) error {
-	r, hi, lo, err := s.base.readSnapHeader(data, kindWeighted)
-	if err != nil {
-		return err
-	}
-	if err := sampler.LoadWeightedState(r, s.inner); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	return s.base.finishRestore(r, hi, lo, s.inner.View())
 }
