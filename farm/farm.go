@@ -17,23 +17,28 @@
 //
 // Tenant lifecycle is hot ⇄ cold ⇄ spilled. Hot tenants own a slab slot.
 // Cold tenants are their versioned snapshot payload (the PR-4 codecs):
-// a few dozen bytes in memory, or a checksummed record in a per-shard
-// append-only spill file when WithSpillDir is set. Offers hydrate lazily;
-// a CLOCK second-chance sweep with optional TTL demotes idle tenants and
-// enforces WithMaxHotTenants. Dropped tenants leave a tombstone and fail
-// with ErrTenantEvicted.
+// one heap buffer of a few hundred bytes, or a checksummed record in a
+// per-shard append-only spill file when WithSpillDir is set. Offers
+// hydrate lazily; a CLOCK second-chance sweep with optional TTL demotes
+// idle tenants and enforces WithMaxHotTenants. Dropped tenants leave a
+// tombstone and fail with ErrTenantEvicted.
 //
 // Ingest is batch-first: Producer.OfferBatch routes (tenant, element)
 // pairs to shards with the same 8-wide group-hash lane as the sharded
 // serving engine (internal/runtime.RouteHashBatch) and applies run-length
-// grouped batches per tenant. The hot path — every touched tenant hot —
-// is zero-allocation in steady state; BENCH.md pins it.
+// grouped batches per tenant. It is zero-allocation in steady state both
+// with every touched tenant hot and under churn: eviction encodes through
+// per-shard scratch into a recycled cold buffer, hydration decodes into a
+// reused item buffer and hands the cold buffer back, and the spill tier
+// reuses one record buffer. BENCH.md pins both paths.
 //
 // Cross-tenant aggregates ride the mergeability the repo already proves:
-// GlobalSample folds per-tenant samples with the hypergeometric
-// MergeSamples fan-in ([CTW16]), GlobalQuantile/GlobalTopK read the merged
-// sample, and GlobalVerdict (WithVerdicts) merges per-shard discrepancy
-// accumulators against the union of all tenant samples.
+// GlobalSample folds per-tenant samples through one reusable
+// sampler.Merger (the hypergeometric [CTW16] fan-in), so a query
+// allocates a constant number of times however many tenants it selects;
+// GlobalQuantile/GlobalTopK read the merged sample, and GlobalVerdict
+// (WithVerdicts) merges per-shard discrepancy accumulators against the
+// union of all tenant samples.
 //
 // Farms are safe for concurrent use: state is sharded behind per-shard
 // locks, so offers to different shards proceed in parallel and eviction
@@ -267,6 +272,7 @@ type core struct {
 	sys      setsystem.SetSystem // nil unless verdicts
 	system   System
 	classes  []slab.Class
+	coldCap  []int // per size class: the largest payload a tenant of it encodes to
 }
 
 // classFor returns the slot size class for a sample of length n.
@@ -312,13 +318,17 @@ type farmShard struct {
 	hand    int
 	ops     uint64
 
-	r      *rng.RNG // per-tenant RNG states are swapped through this scratch
+	r *rng.RNG // per-tenant RNG states are swapped through this scratch
+	// res and ber attach to slab slots to ingest and to encode payloads;
+	// decRes and decBer decode payloads into items they own and keep.
 	res    sampler.Reservoir[int64]
 	ber    sampler.Bernoulli[int64]
 	decRes sampler.Reservoir[int64]
 	decBer sampler.Bernoulli[int64]
 
-	pts []int64 // encoded-point scratch for single-tenant batches
+	pts   []int64  // encoded-point scratch for single-tenant batches
+	enc   []byte   // payload encode scratch
+	spare [][]byte // per size class: a recycled cold buffer, or nil
 
 	spill *spillFile
 	acc   *setsystem.Accumulator
@@ -384,6 +394,7 @@ func build[T any](u sketch.Universe[T], kind, k int, p float64, opts []Option) (
 			c.classes = append(c.classes, slab.Class{ItemCap: capI, WordCap: rngWords + sampler.BernoulliFlatWords})
 		}
 	}
+	c.coldCap = payloadCaps(c)
 	if o.verdicts {
 		sys, err := o.system.build(c.uSize)
 		if err != nil {
@@ -413,6 +424,7 @@ func build[T any](u sketch.Universe[T], kind, k int, p float64, opts []Option) (
 			ber:    sampler.Bernoulli[int64]{P: p},
 			decRes: sampler.Reservoir[int64]{K: k},
 			decBer: sampler.Bernoulli[int64]{P: p},
+			spare:  make([][]byte, len(c.classes)),
 		}
 		if c.sys != nil {
 			sh.acc = c.sys.NewAccumulator()
@@ -502,7 +514,7 @@ func (sh *farmShard) lookupOrCreate(id TenantID) (int32, error) {
 	class, _ := sh.c.classFor(0)
 	ref, err := sh.arena.Alloc(class)
 	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrFarmFull, err)
+		return 0, farmFull(err)
 	}
 	words := sh.arena.Words(ref)
 	hi, lo := rng.NewWithStream(sh.c.seed, uint64(id)).State()
@@ -592,13 +604,11 @@ func (sh *farmShard) migrate(idx int32, out []int64, words []uint64) error {
 	if allocErr != nil {
 		// Demote to cold from the detached state: serialize payload from
 		// out + words, then drop the old slot.
-		payload := sh.appendPayloadRaw(nil, out, words)
+		sh.enc = sh.appendPayloadRaw(sh.enc[:0], out, words)
 		sh.hotRemove(idx)
 		sh.arena.Free(e.ref)
 		e.ref = slab.NilRef
-		if err := sh.store(e, payload); err != nil {
-			return err
-		}
+		sh.store(e, sh.enc, class)
 		sh.evictions++
 		return nil
 	}
@@ -655,22 +665,28 @@ func (sh *farmShard) evictOne(protect int32) bool {
 	return false
 }
 
-// evict demotes a hot entry to cold or spilled. Callers hold sh.mu.
+// evict demotes a hot entry to cold or spilled, encoding through the
+// shard's scratch. Callers hold sh.mu.
+//
+//robust:hotpath
 func (sh *farmShard) evict(idx int32) {
 	e := &sh.entries[idx]
-	payload := sh.appendTenantPayload(nil, e)
+	sh.enc = sh.appendTenantPayload(sh.enc[:0], e)
+	class := e.ref.Class()
 	sh.hotRemove(idx)
 	sh.arena.Free(e.ref)
 	e.ref = slab.NilRef
-	// store can only fail on spill I/O errors, in which case it falls back
-	// to in-memory cold bytes and reports nil.
-	_ = sh.store(e, payload)
+	sh.store(e, sh.enc, class)
 	sh.evictions++
 }
 
-// store parks a serialized tenant payload as spilled (preferred when a
-// spill file exists) or cold in-memory bytes. Callers hold sh.mu.
-func (sh *farmShard) store(e *entry, payload []byte) error {
+// store parks a serialized tenant payload of the given size class as
+// spilled (preferred when a spill file exists) or, when there is no spill
+// file or its write fails, as cold bytes copied into a cold buffer: the
+// class's spare, else a new buffer that fits the class's largest payload,
+// so every buffer fits any payload of its class when recycled. payload
+// may be the shard's scratch. Callers hold sh.mu.
+func (sh *farmShard) store(e *entry, payload []byte, class int) {
 	if e.state == stateSpilled {
 		sh.spill.retire(e.spillLen)
 		e.spillLen = 0
@@ -681,17 +697,24 @@ func (sh *farmShard) store(e *entry, payload []byte) error {
 			e.spillOff, e.spillLen = off, n
 			e.cold = nil
 			e.state = stateSpilled
-			return nil
+			return
 		}
 	}
-	e.cold = payload
+	buf := sh.spare[class]
+	sh.spare[class] = nil
+	if buf == nil {
+		buf = make([]byte, 0, sh.c.coldCap[class])
+	}
+	e.cold = append(buf, payload...)
 	e.state = stateCold
-	return nil
 }
 
 // hydrate promotes a cold or spilled tenant back into a slab slot,
 // validating the payload (checksum, codec consistency, universe range) on
-// the way in. Callers hold sh.mu.
+// the way in, and keeps the tenant's cold buffer as its class's spare.
+// Callers hold sh.mu.
+//
+//robust:hotpath
 func (sh *farmShard) hydrate(idx int32) error {
 	start := time.Now()
 	e := &sh.entries[idx]
@@ -713,19 +736,22 @@ func (sh *farmShard) hydrate(idx int32) error {
 	}
 	ref, err := sh.arena.Alloc(class)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrFarmFull, err)
+		return farmFull(err)
 	}
 	words := sh.arena.Words(ref)
 	words[0], words[1] = hi, lo
 	var out []int64
 	if sh.c.kind == kindReservoir {
-		out = sh.decRes.DetachFlat(words[rngWords:])
+		out = sh.decRes.SaveFlat(words[rngWords:])
 	} else {
-		out = sh.decBer.DetachFlat(words[rngWords:])
+		out = sh.decBer.SaveFlat(words[rngWords:])
 	}
 	copy(sh.arena.Items(ref), out)
 	if e.state == stateSpilled {
 		sh.spill.retire(e.spillLen)
+	}
+	if cap(e.cold) >= sh.c.coldCap[class] {
+		sh.spare[class] = e.cold[:0]
 	}
 	e.ref = ref
 	e.cold = nil
@@ -735,6 +761,12 @@ func (sh *farmShard) hydrate(idx int32) error {
 	sh.hydrations++
 	sh.histNs[histBucket(time.Since(start).Nanoseconds())]++
 	return nil
+}
+
+// farmFull wraps a slab allocation failure as ErrFarmFull, out of line so
+// the hot paths that allocate slots do not format errors inline.
+func farmFull(err error) error {
+	return fmt.Errorf("%w: %v", ErrFarmFull, err)
 }
 
 // histBuckets is the size of the log2 hydration-stall histogram (covers

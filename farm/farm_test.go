@@ -467,6 +467,131 @@ func TestOfferBatchSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// zipfBatches draws n keyed batches of size batch: Zipf(skew) ids over
+// tenants 1..tenants with uniform elements of [1, universe].
+func zipfBatches(seed uint64, tenants, n, batch int, skew float64, universe int64) ([][]TenantID, [][]int64) {
+	r := rng.New(seed)
+	z := rng.NewZipf(int64(tenants), skew)
+	ids := make([][]TenantID, n)
+	xs := make([][]int64, n)
+	for i := range ids {
+		ids[i] = make([]TenantID, batch)
+		xs[i] = make([]int64, batch)
+		for j := range ids[i] {
+			ids[i][j] = TenantID(z.Draw(r))
+			xs[i][j] = 1 + r.Int63n(universe)
+		}
+	}
+	return ids, xs
+}
+
+// populateAll offers every tenant 1..tenants one element through p.
+func populateAll(tb testing.TB, p *Producer[int64], tenants, batch int) {
+	tb.Helper()
+	ids := make([]TenantID, 0, batch)
+	xs := make([]int64, 0, batch)
+	for id := 1; id <= tenants; id++ {
+		ids = append(ids, TenantID(id))
+		xs = append(xs, int64(id))
+		if len(ids) == batch || id == tenants {
+			if _, err := p.OfferBatch(ids, xs); err != nil {
+				tb.Fatalf("populate: %v", err)
+			}
+			ids, xs = ids[:0], xs[:0]
+		}
+	}
+}
+
+// TestChurnSteadyStateAllocs pins the zero-alloc claim of the churn path:
+// with a hot budget far below the tenant count, Zipf-keyed producer
+// batches keep evicting and hydrating tenants, and once the scratch and
+// cold buffers have reached their sizes neither allocates, in memory or
+// through a spill file. A global query allocates the same number of times
+// whether it selects 1/64 of the tenants or all of them.
+func TestChurnSteadyStateAllocs(t *testing.T) {
+	const tenants, maxHot, batch, batches = 1024, 64, 256, 64
+	for _, spill := range []bool{false, true} {
+		opts := []Option{WithShards(4), WithMaxHotTenants(maxHot)}
+		if spill {
+			opts = append(opts, WithSpillDir(t.TempDir()))
+		}
+		f, err := NewReservoirFarm(mustU(t, 1<<20), 16, opts...)
+		if err != nil {
+			t.Fatalf("NewReservoirFarm: %v", err)
+		}
+		p := f.NewProducer()
+		populateAll(t, p, tenants, batch)
+		ids, xs := zipfBatches(17, tenants, batches, batch, 1.1, 1<<20)
+		for i := range ids {
+			if _, err := p.OfferBatch(ids[i], xs[i]); err != nil {
+				t.Fatalf("warmup: %v", err)
+			}
+		}
+		st0 := f.Stats()
+		i := 0
+		avg := testing.AllocsPerRun(batches, func() {
+			if _, err := p.OfferBatch(ids[i%batches], xs[i%batches]); err != nil {
+				t.Fatalf("OfferBatch: %v", err)
+			}
+			i++
+		})
+		st := f.Stats()
+		if st.Evictions == st0.Evictions || st.Hydrations == st0.Hydrations {
+			t.Fatalf("spill=%v: measured runs made %d evictions and %d hydrations, want both > 0",
+				spill, st.Evictions-st0.Evictions, st.Hydrations-st0.Hydrations)
+		}
+		if avg != 0 {
+			t.Fatalf("spill=%v: Producer.OfferBatch under churn: %.1f allocs/op, want 0", spill, avg)
+		}
+		query := func(sel func(TenantID) bool) float64 {
+			return testing.AllocsPerRun(10, func() {
+				if _, err := f.GlobalQuantile(0.5, sel); err != nil {
+					t.Fatalf("GlobalQuantile: %v", err)
+				}
+			})
+		}
+		some := query(func(id TenantID) bool { return id%64 == 0 })
+		all := query(nil)
+		if some != all {
+			t.Fatalf("spill=%v: GlobalQuantile allocs/op %.0f over 1/64 of the tenants, %.0f over all; want equal", spill, some, all)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	}
+}
+
+// BenchmarkProducerChurn measures keyed ingest under churn, the perfbench
+// farm workload's shape: 10^4 tenants with a hot budget of 1/8, Zipf(1.1)
+// keys and batches of 512. One op is one batch; allocs/op must be 0.
+func BenchmarkProducerChurn(b *testing.B) {
+	const tenants, batch, batches = 10_000, 512, 256
+	u, err := sketch.NewInt64Universe(1 << 20)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f, err := NewReservoirFarm(u, 16, WithShards(32), WithMaxHotTenants(tenants/8))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	p := f.NewProducer()
+	populateAll(b, p, tenants, batch)
+	ids, xs := zipfBatches(1, tenants, batches, batch, 1.1, 1<<20)
+	for i := range ids {
+		if _, err := p.OfferBatch(ids[i], xs[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.OfferBatch(ids[i%batches], xs[i%batches]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestGlobalQueries covers the cross-tenant fan-in: sample size/rounds
 // accounting, determinism across identical farms, quantiles and top-k on
 // a known skew, and the discrepancy verdict in the lossless regime.

@@ -107,12 +107,15 @@ func (f *Farm[T]) Rounds(id TenantID) (int, error) {
 // Reservoir farms interleave hypergeometrically (sampler.MergeSamples, the
 // [CTW16] coordinator fan-in) so the result is a uniform k-sample of the
 // selected tenants' union stream; Bernoulli farms take the union, a
-// Bernoulli(p) sample of the union stream. The selector runs under shard
-// locks and must not call back into the farm.
+// Bernoulli(p) sample of the union stream. One Merger serves the whole
+// fold, so a query allocates a constant number of times however many
+// tenants it selects. The selector runs under shard locks and must not
+// call back into the farm.
 func (f *Farm[T]) globalPoints(sel func(TenantID) bool) ([]int64, int, error) {
 	var merged []int64
 	mrounds := 0
 	var mr *rng.RNG
+	var m sampler.Merger[int64]
 	if f.c.kind == kindReservoir {
 		mr = rng.NewWithStream(f.c.seed, mergeStream)
 	}
@@ -132,7 +135,7 @@ func (f *Farm[T]) globalPoints(sel func(TenantID) bool) ([]int64, int, error) {
 				return nil, 0, err
 			}
 			if f.c.kind == kindReservoir {
-				merged = sampler.MergeSamples(merged, mrounds, pts, rounds, f.c.k, mr)
+				merged = m.Merge(merged, mrounds, pts, rounds, f.c.k, mr)
 			} else {
 				merged = append(merged, pts...)
 			}

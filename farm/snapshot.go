@@ -52,22 +52,46 @@ func (sh *farmShard) appendTenantPayload(buf []byte, e *entry) []byte {
 
 // appendPayloadRaw appends a payload from detached flat state: items holds
 // the sample, words the slot counter words (RNG state included). The
-// decode scratch sampler briefly attaches to serialize through the shared
-// sampler codecs, so the payload is byte-identical to a standalone
-// sampler's state. Callers hold sh.mu.
+// ingest scratch sampler, detached whenever a payload is encoded, briefly
+// attaches to serialize through the shared sampler codecs, so the payload
+// is byte-identical to a standalone sampler's state. Callers hold sh.mu.
 func (sh *farmShard) appendPayloadRaw(buf []byte, items []int64, words []uint64) []byte {
 	buf = snapshot.AppendUint64(buf, words[0])
 	buf = snapshot.AppendUint64(buf, words[1])
 	if sh.c.kind == kindReservoir {
-		sh.decRes.AttachFlat(items, words[rngWords:])
-		buf, _ = sampler.AppendState(buf, &sh.decRes)
-		sh.decRes.DetachFlat(words[rngWords:])
+		sh.res.AttachFlat(items, words[rngWords:])
+		buf, _ = sampler.AppendState(buf, &sh.res)
+		sh.res.DetachFlat(words[rngWords:])
 	} else {
-		sh.decBer.AttachFlat(items, words[rngWords:])
-		buf, _ = sampler.AppendState(buf, &sh.decBer)
-		sh.decBer.DetachFlat(words[rngWords:])
+		sh.ber.AttachFlat(items, words[rngWords:])
+		buf, _ = sampler.AppendState(buf, &sh.ber)
+		sh.ber.DetachFlat(words[rngWords:])
 	}
 	return buf
+}
+
+// payloadCaps returns, per size class, the length of the largest payload
+// a tenant of that class encodes to. It encodes an empty and a one-item
+// tenant through the codec instead of restating the layout: items encode
+// at a fixed width, so a payload's length is affine in its item count.
+func payloadCaps(c *core) []int {
+	sh := &farmShard{c: c, res: sampler.Reservoir[int64]{K: c.k}, ber: sampler.Bernoulli[int64]{P: c.p}}
+	words := make([]uint64, c.classes[0].WordCap)
+	empty := len(sh.appendPayloadRaw(nil, nil, words))
+	one := []int64{1}
+	if c.kind == kindReservoir {
+		sh.res.SetMergedState(one, 1, 1)
+		sh.res.SaveFlat(words[rngWords:])
+	} else {
+		sh.ber.SetMergedState(one, 1)
+		sh.ber.SaveFlat(words[rngWords:])
+	}
+	item := len(sh.appendPayloadRaw(nil, one, words)) - empty
+	caps := make([]int, len(c.classes))
+	for i, cl := range c.classes {
+		caps[i] = empty + cl.ItemCap*item
+	}
+	return caps
 }
 
 // loadTenantPayload decodes and fully validates a tenant payload into the

@@ -18,6 +18,7 @@ type spillFile struct {
 	size int64
 	live int64
 	dead int64
+	rec  []byte // the record buffer write and read reuse
 }
 
 // spillHeader is the per-record overhead: an 8-byte checksum.
@@ -44,10 +45,18 @@ func openSpill(dir string, shard int) (*spillFile, error) {
 	return &spillFile{f: f, path: path}, nil
 }
 
+// record returns the record buffer resized to hold an n-byte payload.
+func (sp *spillFile) record(n int) []byte {
+	if cap(sp.rec) < spillHeader+n {
+		sp.rec = make([]byte, spillHeader+n)
+	}
+	return sp.rec[:spillHeader+n]
+}
+
 // write appends one checksummed record and returns its offset and length
 // (payload length, excluding the header).
 func (sp *spillFile) write(payload []byte) (off int64, n int32, err error) {
-	rec := make([]byte, spillHeader+len(payload))
+	rec := sp.record(len(payload))
 	sum := fnv64a(payload)
 	for i := 0; i < spillHeader; i++ {
 		rec[i] = byte(sum >> (8 * i))
@@ -63,9 +72,10 @@ func (sp *spillFile) write(payload []byte) (off int64, n int32, err error) {
 }
 
 // read returns the payload of the record at off, verifying its checksum.
-// Corrupt or truncated records fail with ErrBadSnapshot.
+// The payload lives in the record buffer, so it is valid until the next
+// write or read. Corrupt or truncated records fail with ErrBadSnapshot.
 func (sp *spillFile) read(off int64, n int32) ([]byte, error) {
-	rec := make([]byte, spillHeader+int(n))
+	rec := sp.record(int(n))
 	if _, err := sp.f.ReadAt(rec, off); err != nil {
 		return nil, fmt.Errorf("%w: spill record at %d: %v", ErrBadSnapshot, off, err)
 	}

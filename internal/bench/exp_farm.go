@@ -64,6 +64,7 @@ type farmPoint struct {
 	hotAllocs      uint64  // heap allocations per element on that path
 	hotBytes       uint64  // heap bytes per element on that path
 	churnNs        float64 // ns/elem with hot budget = population/8
+	churnAllocs    uint64  // heap allocations per element on that path
 	hydrations     uint64
 	hydrateP99     time.Duration
 }
@@ -79,7 +80,8 @@ type farmPoint struct {
 //     the path the hotpath annotations pin at zero allocations;
 //   - churn: the same workload against a farm whose hot budget is an
 //     eighth of the population, so the Zipf tail continually evicts and
-//     hydrates; reports the hydration count and stall p99.
+//     hydrates; reports the allocation rate after populate, the hydration
+//     count and the stall p99.
 func measureFarmPoint(cfg Config, tenants int) farmPoint {
 	u := must(sketch.NewInt64Universe(farmUniverse))
 	pt := farmPoint{tenants: tenants}
@@ -167,6 +169,8 @@ func measureFarmPoint(cfg Config, tenants int) farmPoint {
 		farm.WithSeed(cfg.Seed), farm.WithShards(farmShards), farm.WithMaxHotTenants(maxHot)))
 	gp := g.NewProducer()
 	populate(gp)
+	var c0, c1 runtime.MemStats
+	runtime.ReadMemStats(&c0)
 	start = time.Now()
 	for off := 0; off < churnOps; off += farmBatch {
 		end := off + farmBatch
@@ -176,6 +180,8 @@ func measureFarmPoint(cfg Config, tenants int) farmPoint {
 		must(gp.OfferBatch(churnIDs[off:end], churnXs[off:end]))
 	}
 	pt.churnNs = float64(time.Since(start).Nanoseconds()) / float64(churnOps)
+	runtime.ReadMemStats(&c1)
+	pt.churnAllocs = (c1.Mallocs - c0.Mallocs) / uint64(churnOps)
 	st := g.Stats()
 	pt.hydrations = st.Hydrations
 	pt.hydrateP99 = st.HydrateP99
@@ -191,16 +197,16 @@ func ExpE22(cfg Config) *Table {
 		Title:  "Multi-tenant sketch farm: tenant density, keyed ingest, hydration stalls",
 		Source: "Section 1.2 applications served at scale; DESIGN.md BENCH 10",
 		Columns: []string{"tenants", "skew", "bytes/tenant", "tenants/GB",
-			"hot ns/elem", "hot allocs/elem", "churn ns/elem", "hydrations", "hydrate-p99"},
+			"hot ns/elem", "hot allocs/elem", "churn allocs/elem", "churn ns/elem", "hydrations", "hydrate-p99"},
 	}
 	for _, n := range cfg.tenantCounts() {
 		pt := measureFarmPoint(cfg, n)
 		t.AddRow(pt.tenants, cfg.tenantSkew(), pt.bytesPerTenant, pt.tenantsPerGB,
-			pt.hotNs, pt.hotAllocs, pt.churnNs, pt.hydrations, pt.hydrateP99.String())
+			pt.hotNs, pt.hotAllocs, pt.churnAllocs, pt.churnNs, pt.hydrations, pt.hydrateP99.String())
 	}
 	t.Notes = append(t.Notes,
 		"hot ns/elem should stay near-flat up the ladder: tenant state is flat slab slots, so scale adds map lookups, not pointer chasing",
-		"hot allocs/elem must be 0 — the keyed ingest path is hotpath-annotated and allocation-free at steady state",
+		"hot allocs/elem and churn allocs/elem must both be 0 — keyed ingest, eviction and hydration are hotpath-annotated and allocation-free at steady state",
 		"the churn arm caps hot tenants at population/8: churn ns/elem pays the encode/decode hydration tax and hydrate-p99 is the stall's log2-bucket upper bound",
 		"wall-clock cells vary run to run; the claims are the shape, the allocation count and the byte accounting",
 	)

@@ -36,15 +36,23 @@ func (v *Reservoir[T]) AttachFlat(storage []T, words []uint64) {
 	v.delta.clear()
 }
 
+// SaveFlat writes v's counters into words, in the layout AttachFlat reads,
+// and returns v's item slice; v itself is unchanged. A sampler that owns
+// its items (one that decodes snapshots into flat slots) uses it to keep
+// its buffer across loads.
+func (v *Reservoir[T]) SaveFlat(words []uint64) []T {
+	words[0] = uint64(v.rounds)
+	words[1] = uint64(v.admitted)
+	words[2] = uint64(len(v.items))
+	return v.items
+}
+
 // DetachFlat writes v's counters back into words and releases the attached
 // storage, leaving v ready for the next AttachFlat. It returns the item
 // slice as of detach: for a Reservoir this is always the attached storage
 // (the sample never outgrows K).
 func (v *Reservoir[T]) DetachFlat(words []uint64) []T {
-	words[0] = uint64(v.rounds)
-	words[1] = uint64(v.admitted)
-	words[2] = uint64(len(v.items))
-	items := v.items
+	items := v.SaveFlat(words)
 	v.items = nil
 	v.rounds = 0
 	v.admitted = 0
@@ -62,12 +70,9 @@ func (b *Bernoulli[T]) AttachFlat(storage []T, words []uint64) {
 	b.delta.clear()
 }
 
-// DetachFlat writes b's counters back into words and returns the item
-// slice as of detach. A Bernoulli sample grows without bound, so the
-// returned slice may have outgrown the attached storage (append spilled to
-// the heap); the caller detects this by comparing the returned length to
-// the storage capacity and migrates the sample to a larger slot.
-func (b *Bernoulli[T]) DetachFlat(words []uint64) []T {
+// SaveFlat writes b's counters into words and returns b's item slice; see
+// Reservoir.SaveFlat.
+func (b *Bernoulli[T]) SaveFlat(words []uint64) []T {
 	words[0] = uint64(b.rounds)
 	words[1] = uint64(b.skip)
 	if b.hasSkip {
@@ -76,7 +81,16 @@ func (b *Bernoulli[T]) DetachFlat(words []uint64) []T {
 		words[2] = 0
 	}
 	words[3] = uint64(len(b.items))
-	items := b.items
+	return b.items
+}
+
+// DetachFlat writes b's counters back into words and returns the item
+// slice as of detach. A Bernoulli sample grows without bound, so the
+// returned slice may have outgrown the attached storage (append spilled to
+// the heap); the caller detects this by comparing the returned length to
+// the storage capacity and migrates the sample to a larger slot.
+func (b *Bernoulli[T]) DetachFlat(words []uint64) []T {
+	items := b.SaveFlat(words)
 	b.items = nil
 	b.rounds = 0
 	b.skip = 0

@@ -27,7 +27,25 @@ import (
 // k > len(sampleA) + len(sampleB) with k also exceeding what the populations
 // could supply. The inputs are not mutated; elements are consumed in a
 // randomized order so no positional bias leaks from the input samples.
+// The result is freshly allocated; a fold over many samples uses a Merger.
 func MergeSamples[T any](sampleA []T, nA int, sampleB []T, nB int, k int, r *rng.RNG) []T {
+	var m Merger[T]
+	return m.Merge(sampleA, nA, sampleB, nB, k, r)
+}
+
+// Merger is a reusable MergeSamples: it owns the shuffled copies of both
+// sides and the output buffer, so a fold over many samples allocates only
+// while its buffers grow. The zero value is ready to use; a Merger is not
+// safe for concurrent use.
+type Merger[T any] struct {
+	a, b, out []T
+}
+
+// Merge is MergeSamples with m's buffers: the same arguments, panics and
+// RNG draws, and the same result. The result aliases m's output buffer
+// and is valid until the next Merge, which accepts it back as sampleA, so
+// a left fold is merged = m.Merge(merged, n, next, nNext, k, r).
+func (m *Merger[T]) Merge(sampleA []T, nA int, sampleB []T, nB int, k int, r *rng.RNG) []T {
 	if nA < len(sampleA) || nB < len(sampleB) {
 		panic("sampler: population smaller than its sample")
 	}
@@ -43,12 +61,18 @@ func MergeSamples[T any](sampleA []T, nA int, sampleB []T, nB int, k int, r *rng
 	}
 
 	// Shuffle copies so consumption order within each side is uniform.
-	a := append([]T(nil), sampleA...)
-	b := append([]T(nil), sampleB...)
+	// Both sides are copied before out is written, so sampleA may be the
+	// previous result.
+	a := append(grow(m.a, len(sampleA), k), sampleA...)
+	b := append(grow(m.b, len(sampleB), k), sampleB...)
+	m.a, m.b = a, b
 	r.Shuffle(len(a), func(i, j int) { a[i], a[j] = a[j], a[i] })
 	r.Shuffle(len(b), func(i, j int) { b[i], b[j] = b[j], b[i] })
 
-	out := make([]T, 0, k)
+	out := m.out[:0]
+	if out == nil || cap(out) < k {
+		out = make([]T, 0, k)
+	}
 	remA, remB := nA, nB
 	for len(out) < k {
 		// Draw from A with probability remA / (remA + remB). If a side
@@ -59,6 +83,7 @@ func MergeSamples[T any](sampleA []T, nA int, sampleB []T, nB int, k int, r *rng
 		takeA := false
 		switch {
 		case len(a) == 0 && len(b) == 0:
+			m.out = out
 			return out
 		case len(a) == 0:
 			takeA = false
@@ -77,7 +102,18 @@ func MergeSamples[T any](sampleA []T, nA int, sampleB []T, nB int, k int, r *rng
 			remB--
 		}
 	}
+	m.out = out
 	return out
+}
+
+// grow returns buf emptied, with room for n elements. A buffer that must
+// grow is sized for at least k, the merge size, so a fold over samples of
+// at most k elements grows each buffer once.
+func grow[T any](buf []T, n, k int) []T {
+	if cap(buf) < n {
+		buf = make([]T, 0, max(n, k))
+	}
+	return buf[:0]
 }
 
 // MergeFrom folds other's weighted sample into w. A-Res assigns every

@@ -2,6 +2,7 @@ package sampler
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"robustsample/internal/rng"
@@ -257,6 +258,60 @@ func TestMergeSamplesPopulationEqualsSample(t *testing.T) {
 	for v, c := range counts {
 		if math.Abs(float64(c)-want) > 6*sd {
 			t.Fatalf("element %d included %d times, want ~%v", v, c, want)
+		}
+	}
+}
+
+// TestMergerMatchesMergeSamples pins Merger.Merge to MergeSamples: on
+// random inputs, including k = 0, empty sides and a fold that passes the
+// previous result back in as sampleA, both return the same sample and
+// leave their RNGs in the same state.
+func TestMergerMatchesMergeSamples(t *testing.T) {
+	draw := rng.New(13)
+	side := func() ([]int64, int) {
+		n := draw.Intn(12)
+		s := make([]int64, n)
+		for i := range s {
+			s[i] = draw.Int63n(1000)
+		}
+		if n == 0 && draw.Intn(2) == 0 {
+			s = nil
+		}
+		return s, n + draw.Intn(50)
+	}
+	check := func(got, want []int64, rg, rw *rng.RNG) {
+		t.Helper()
+		if !slices.Equal(got, want) || (got == nil) != (want == nil) {
+			t.Fatalf("Merger.Merge = %v, MergeSamples = %v", got, want)
+		}
+		gh, gl := rg.State()
+		wh, wl := rw.State()
+		if gh != wh || gl != wl {
+			t.Fatal("Merger.Merge and MergeSamples left their RNGs in different states")
+		}
+	}
+	var m Merger[int64]
+	for trial := 0; trial < 300; trial++ {
+		a, nA := side()
+		b, nB := side()
+		k := draw.Intn(len(a) + len(b) + 1)
+		if trial%10 == 0 {
+			k = 0
+		}
+		rg, rw := rng.New(uint64(trial)), rng.New(uint64(trial))
+		check(m.Merge(a, nA, b, nB, k, rg), MergeSamples(a, nA, b, nB, k, rw), rg, rw)
+	}
+	for trial := 0; trial < 20; trial++ {
+		rg, rw := rng.New(uint64(trial)), rng.New(uint64(trial))
+		var got, want []int64
+		n := 0
+		for step := 0; step < 10; step++ {
+			b, nB := side()
+			k := min(8, len(got)+len(b))
+			got = m.Merge(got, n, b, nB, k, rg)
+			want = MergeSamples(want, n, b, nB, k, rw)
+			n += nB
+			check(got, want, rg, rw)
 		}
 	}
 }

@@ -100,13 +100,16 @@ func AppendBernoulliState(buf []byte, b *Bernoulli[int64]) []byte {
 	return snapshot.AppendInt64Slice(buf, b.items)
 }
 
-// LoadBernoulliState restores state written by AppendBernoulliState.
+// LoadBernoulliState restores state written by AppendBernoulliState. The
+// items decode into b's existing sample buffer, so a receiver reused
+// across loads stops allocating once its buffer fits the largest sample;
+// on error b's state is unspecified.
 func LoadBernoulliState(r *snapshot.Reader, b *Bernoulli[int64]) error {
 	p := r.Float64()
 	rounds := r.Int64()
 	skip := r.Int64()
 	hasSkip := r.Bool()
-	items := r.Int64Slice()
+	items := r.AppendInt64Slice(b.items[:0])
 	if err := r.Err(); err != nil {
 		return err
 	}
@@ -131,12 +134,14 @@ func AppendReservoirState(buf []byte, v *Reservoir[int64]) []byte {
 	return snapshot.AppendInt64Slice(buf, v.items)
 }
 
-// LoadReservoirState restores state written by AppendReservoirState.
+// LoadReservoirState restores state written by AppendReservoirState. The
+// items decode into v's existing sample buffer, as in
+// LoadBernoulliState; on error v's state is unspecified.
 func LoadReservoirState(r *snapshot.Reader, v *Reservoir[int64]) error {
 	k := r.Int64()
 	rounds := r.Int64()
 	admitted := r.Int64()
-	items := r.Int64Slice()
+	items := r.AppendInt64Slice(v.items[:0])
 	if err := r.Err(); err != nil {
 		return err
 	}

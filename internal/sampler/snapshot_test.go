@@ -251,3 +251,56 @@ func TestWeightedMergeFrom(t *testing.T) {
 		t.Fatalf("merged keys are not the top-K of the union:\ngot  %v\nwant %v", got, want)
 	}
 }
+
+// TestLoadIntoStaleReceiver pins in-place decoding: a receiver whose item
+// buffer is larger than the snapshot's sample and holds stale items loads
+// to the same View, Rounds and re-snapshot bytes as a fresh receiver, and
+// reloading it allocates nothing.
+func TestLoadIntoStaleReceiver(t *testing.T) {
+	src := rng.New(21)
+	orig := &Reservoir[int64]{K: 16}
+	feedInt64(300, src, func(x int64) { orig.Offer(x, src) })
+	stale := &Reservoir[int64]{K: 64}
+	feedInt64(1000, src, func(x int64) { stale.Offer(x, src) })
+	data := AppendReservoirState(nil, orig)
+	fresh := &Reservoir[int64]{}
+	for _, v := range []*Reservoir[int64]{fresh, stale} {
+		if err := LoadReservoirState(snapshot.NewReader(data), v); err != nil {
+			t.Fatalf("LoadReservoirState: %v", err)
+		}
+	}
+	if !slices.Equal(stale.View(), fresh.View()) || stale.Rounds() != fresh.Rounds() ||
+		!bytes.Equal(AppendReservoirState(nil, stale), AppendReservoirState(nil, fresh)) {
+		t.Fatal("reservoir loaded into a stale receiver differs from a fresh load")
+	}
+	if avg := testing.AllocsPerRun(10, func() {
+		if err := LoadReservoirState(snapshot.NewReader(data), stale); err != nil {
+			t.Fatalf("reload: %v", err)
+		}
+	}); avg != 0 {
+		t.Fatalf("reservoir reload: %.1f allocs/op, want 0", avg)
+	}
+
+	bo := &Bernoulli[int64]{P: 0.1}
+	feedInt64(300, src, func(x int64) { bo.Offer(x, src) })
+	bstale := &Bernoulli[int64]{P: 0.9}
+	feedInt64(1000, src, func(x int64) { bstale.Offer(x, src) })
+	bdata := AppendBernoulliState(nil, bo)
+	bfresh := &Bernoulli[int64]{}
+	for _, b := range []*Bernoulli[int64]{bfresh, bstale} {
+		if err := LoadBernoulliState(snapshot.NewReader(bdata), b); err != nil {
+			t.Fatalf("LoadBernoulliState: %v", err)
+		}
+	}
+	if !slices.Equal(bstale.View(), bfresh.View()) || bstale.Rounds() != bfresh.Rounds() ||
+		!bytes.Equal(AppendBernoulliState(nil, bstale), AppendBernoulliState(nil, bfresh)) {
+		t.Fatal("Bernoulli loaded into a stale receiver differs from a fresh load")
+	}
+	if avg := testing.AllocsPerRun(10, func() {
+		if err := LoadBernoulliState(snapshot.NewReader(bdata), bstale); err != nil {
+			t.Fatalf("reload: %v", err)
+		}
+	}); avg != 0 {
+		t.Fatalf("Bernoulli reload: %.1f allocs/op, want 0", avg)
+	}
+}

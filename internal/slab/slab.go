@@ -68,7 +68,9 @@ func packRef(class int, idx uint64) Ref {
 // Valid reports whether r refers to a slot.
 func (r Ref) Valid() bool { return r != NilRef }
 
-func (r Ref) class() int    { return int(r>>refIndexBits) - 1 }
+// Class returns the size class of the slot r refers to.
+func (r Ref) Class() int { return int(r>>refIndexBits) - 1 }
+
 func (r Ref) index() uint64 { return uint64(r) & (1<<refIndexBits - 1) }
 
 // classArena is the per-class storage: parallel chunk lists for items and
@@ -159,7 +161,7 @@ func (a *Arena) Free(ref Ref) {
 	if !ref.Valid() {
 		return
 	}
-	c := &a.classes[ref.class()]
+	c := &a.classes[ref.Class()]
 	idx := ref.index()
 	items := a.slotItems(c, idx)
 	for i := range items {
@@ -191,13 +193,13 @@ func (a *Arena) slotWords(c *classArena, idx uint64) []uint64 {
 // the class ItemCap, so appends past capacity spill to the heap instead of
 // corrupting neighboring slots. The slice stays valid until Free.
 func (a *Arena) Items(ref Ref) []int64 {
-	return a.slotItems(&a.classes[ref.class()], ref.index())
+	return a.slotItems(&a.classes[ref.Class()], ref.index())
 }
 
 // Words returns the slot's counter-word storage (length WordCap). The
 // slice stays valid until Free.
 func (a *Arena) Words(ref Ref) []uint64 {
-	return a.slotWords(&a.classes[ref.class()], ref.index())
+	return a.slotWords(&a.classes[ref.Class()], ref.index())
 }
 
 // Stats is an allocation snapshot.

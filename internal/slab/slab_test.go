@@ -5,9 +5,6 @@ import (
 	"testing"
 )
 
-// ClassOf returns the size-class index ref was allocated from.
-func (a *Arena) ClassOf(ref Ref) int { return ref.class() }
-
 // ItemCap returns the item capacity of a size class.
 func (a *Arena) ItemCap(class int) int { return a.classes[class].itemCap }
 
@@ -154,7 +151,7 @@ func TestMultiClass(t *testing.T) {
 	}
 	r0, _ := a.Alloc(0)
 	r1, _ := a.Alloc(1)
-	if a.ClassOf(r0) != 0 || a.ClassOf(r1) != 1 {
+	if r0.Class() != 0 || r1.Class() != 1 {
 		t.Fatal("ClassOf mismatch")
 	}
 	if a.ItemCap(0) != 2 || a.ItemCap(1) != 16 || a.Classes() != 2 {

@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"slices"
 )
 
 // ErrCorrupt is returned when a snapshot is truncated or structurally
@@ -182,16 +183,22 @@ func (r *Reader) Bytes() []byte {
 }
 
 // Int64Slice reads a length-prefixed []int64; a zero length yields nil.
-func (r *Reader) Int64Slice() []int64 {
+func (r *Reader) Int64Slice() []int64 { return r.AppendInt64Slice(nil) }
+
+// AppendInt64Slice reads a length-prefixed []int64 and appends it to dst,
+// growing dst at most once, so a decoder that passes its previous buffer
+// back as dst[:0] reuses that buffer's capacity. On error dst is returned
+// unchanged.
+func (r *Reader) AppendInt64Slice(dst []int64) []int64 {
 	n := r.sliceLen(8)
 	if n == 0 {
-		return nil
+		return dst
 	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = r.Int64()
+	dst = slices.Grow(dst, n)
+	for i := 0; i < n; i++ {
+		dst = append(dst, r.Int64())
 	}
-	return out
+	return dst
 }
 
 // Float64Slice reads a length-prefixed []float64; a zero length yields nil.
