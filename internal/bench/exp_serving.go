@@ -42,13 +42,14 @@ func (c Config) producerCounts() []int {
 // the ConcurrentIngest JSON entries. Each 8-byte element is, in order:
 // read from the producer's stream slice (8); routed into the destination
 // scratch (8w+8r); appended to a per-shard bucket (8w+8r); written to a
-// ring cell and its sequence word published (16w), then both read back by
-// the consumer (16r); copied into the consumer's apply chunk (8w+8r); and
-// finally touched by the accumulator + reservoir admission (~16). Total
-// ~104 bytes of traffic per 8-byte element — the pipeline is
-// bandwidth-bound at roughly bytesPerElem / copyGBps ns/elem once
-// per-element CPU overhead is amortized away.
-const servingBytesPerElem = 104
+// ring slot (8w) and read back by the consumer (8r) — the ring's header
+// word is written and read once per run, not per element, so it rounds to
+// 0; copied into the consumer's apply chunk (8w+8r); and finally touched
+// by the accumulator + reservoir admission (~16). Total ~88 bytes of
+// traffic per 8-byte element — the pipeline is bandwidth-bound at roughly
+// bytesPerElem / copyGBps ns/elem once per-element CPU overhead is
+// amortized away.
+const servingBytesPerElem = 88
 
 func servingEngine(root *rng.RNG) *shard.Engine {
 	return shard.New(shard.Config{

@@ -101,7 +101,6 @@ type Pipeline struct {
 	epoch      atomic.Uint64
 	stolen     atomic.Uint64 // elements applied by a consumer other than the shard's own
 	closeOnce  sync.Once
-	closeErr   error
 }
 
 // Producer is one ingest lane. A lane must be driven by at most one
@@ -513,7 +512,7 @@ func (p *Pipeline) Freeze(fn func()) Epoch {
 // get ErrClosed. Offered elements are never dropped: Close first waits out
 // the offers already past the closed check (see Producer.Offer's in-flight
 // protocol), and after the goroutines exit it sweeps the rings once more
-// (single-threaded, so the SPSC consumer roles transfer safely) for any
+// (single-threaded, so the rings' pop role transfers safely) for any
 // push that landed after a lane was declared drained.
 func (p *Pipeline) Close() Epoch {
 	<-p.beginClose()

@@ -11,9 +11,11 @@
 //     routers that are pure functions or own per-producer randomness) or on
 //     a dedicated router goroutine that merges producer lanes in global
 //     sequence order (deterministic mode);
-//   - one bounded SPSC ring per shard feeding that shard's consumer
+//   - one bounded MPSC ring per shard feeding that shard's consumer
 //     goroutine, which applies elements in FIFO order in bounded chunks
-//     while holding the shard's lock.
+//     while holding the shard's lock. Any producer (or the router) may push
+//     into any shard ring; one popper at a time drains it, normally the
+//     shard's own consumer and sometimes a stealing one.
 //
 // Backpressure is the rings' bounded capacity: a full ring makes the
 // producer (or router) spin-then-sleep until the consumer catches up, so
@@ -27,24 +29,34 @@ package runtime
 import "sync/atomic"
 
 // Ring is a bounded lock-free multi-producer single-consumer queue of
-// stream elements (Vyukov's bounded-queue cell/sequence scheme restricted
-// to one consumer). Any number of goroutines may Push or PushBatch
-// concurrently; Pop and PopInto must be serialized by the caller (at most
-// one goroutine popping at a time — the pipeline enforces this with the
-// shard lock, which is what lets idle consumers steal from foreign rings).
-// The dequeue cursor is atomic so producers and stealers may read Backlog
-// and Empty concurrently with the popper. Capacity is rounded up to a
-// power of two.
+// stream elements that publishes runs, not elements. A push claims a run
+// of consecutive positions with one compare-and-swap on the enqueue
+// cursor, copies its values into the plain value array, and publishes the
+// whole run with one header store: head[pos&mask] = pos+n. The popper
+// reads one header per run, copies the run out (keeping the unread rest of
+// a partly popped run in end), and stores the dequeue cursor once per
+// PopInto.
+//
+// No slot is ever recycled. Producers size their claims from the dequeue
+// cursor, so a claimed slot is always free. A header left over from an
+// earlier lap holds at most the current cursor (a run is never longer than
+// the ring), so the popper reads it as "not yet published". And no
+// producer can publish at d+cap before position d is consumed.
+//
+// Any number of goroutines may Push or PushBatch concurrently; Pop and
+// PopInto must be serialized by the caller (at most one goroutine popping
+// at a time — the pipeline enforces this with the shard lock, which is what
+// lets idle consumers steal from foreign rings). The dequeue cursor is
+// atomic so producers and stealers may read Backlog and Empty concurrently
+// with the popper. Capacity counts elements and is rounded up to a power
+// of two.
 type Ring struct {
-	mask  uint64
-	cells []ringCell
-	enq   atomic.Uint64 // next enqueue position; also the count of pushes ever started
-	deq   atomic.Uint64 // next dequeue position; owned by whoever holds the pop role
-}
-
-type ringCell struct {
-	seq atomic.Uint64
-	val int64
+	mask uint64
+	vals []int64
+	head []atomic.Uint64 // head[p&mask] = p+n once the run claimed at p is written
+	end  uint64          // popper-owned: end of the run the dequeue cursor is in
+	enq  atomic.Uint64   // next enqueue position; also the count of pushes ever started
+	deq  atomic.Uint64   // next dequeue position; owned by whoever holds the pop role
 }
 
 // NewRing returns a ring of at least the given capacity (rounded up to a
@@ -54,111 +66,98 @@ func NewRing(capacity int) *Ring {
 	for n < capacity {
 		n <<= 1
 	}
-	r := &Ring{mask: uint64(n - 1), cells: make([]ringCell, n)}
-	for i := range r.cells {
-		r.cells[i].seq.Store(uint64(i))
-	}
-	return r
+	return &Ring{mask: uint64(n - 1), vals: make([]int64, n), head: make([]atomic.Uint64, n)}
 }
 
-// Push enqueues x, reporting false when the ring is full. Safe for
-// concurrent use by any number of producers.
-//
-//robust:hotpath
-func (r *Ring) Push(x int64) bool {
-	pos := r.enq.Load()
+// claim reserves up to want consecutive positions with one CAS, returning
+// the first and how many it took (0 when the ring is full).
+func (r *Ring) claim(want int) (pos, n uint64) {
 	for {
-		c := &r.cells[pos&r.mask]
-		seq := c.seq.Load()
-		switch {
-		case seq == pos:
-			if r.enq.CompareAndSwap(pos, pos+1) {
-				c.val = x
-				c.seq.Store(pos + 1)
-				return true
-			}
-			pos = r.enq.Load()
-		case seq < pos:
-			// The cell still holds an element the consumer has not taken:
-			// the ring is full.
-			return false
-		default:
-			// Another producer claimed this position; reload.
-			pos = r.enq.Load()
+		// Load order matters: enq first, then deq. The ring invariant is
+		// enq <= deq+cap, and deq only grows, so a deq read after the enq
+		// read satisfies pos-deq <= cap. A deq that moves on only
+		// under-counts free slots; one that has overtaken pos fails the CAS.
+		pos = r.enq.Load()
+		free := uint64(len(r.vals)) - (pos - r.deq.Load())
+		if free == 0 {
+			return pos, 0
+		}
+		n = min(uint64(want), free)
+		if r.enq.CompareAndSwap(pos, pos+n) {
+			return pos, n
 		}
 	}
 }
 
-// PushBatch enqueues a prefix of xs with one claim for the whole run: it
-// reserves min(len(xs), free) consecutive slots via a single
-// compare-and-swap, writes the values, and publishes their sequence numbers
-// in order. It returns how many elements it took (0 when the ring is full —
-// the caller retries the remainder). Safe for concurrent use by any number
-// of producers, and pushes from one goroutine stay FIFO.
+// Push enqueues x as a run of one, reporting false when the ring is full.
+// Safe for concurrent use by any number of producers.
 //
-// The free-slot count is computed from the dequeue cursor, which is
-// published only after a popped cell's sequence number is recycled; a stale
-// read therefore only under-counts free slots, so every claimed cell is
-// guaranteed writable without per-cell sequence checks.
+//robust:hotpath
+func (r *Ring) Push(x int64) bool {
+	pos, n := r.claim(1)
+	if n == 0 {
+		return false
+	}
+	r.vals[pos&r.mask] = x
+	r.head[pos&r.mask].Store(pos + 1)
+	return true
+}
+
+// PushBatch enqueues a prefix of xs as one run: it reserves
+// min(len(xs), free) consecutive slots with a single compare-and-swap,
+// copies the values in, and publishes the run with one header store. It
+// returns how many elements it took (0 when the ring is full — the caller
+// retries the remainder). Safe for concurrent use by any number of
+// producers, and pushes from one goroutine stay FIFO.
 //
 //robust:hotpath
 func (r *Ring) PushBatch(xs []int64) int {
 	if len(xs) == 0 {
 		return 0
 	}
-	for {
-		// Load order matters: enq first, then deq. The ring invariant is
-		// enq <= deq+cap, and deq only grows, so a deq read after the enq
-		// read satisfies pos-deq <= cap and the subtraction cannot wrap.
-		pos := r.enq.Load()
-		free := uint64(len(r.cells)) - (pos - r.deq.Load())
-		if free == 0 {
-			return 0
-		}
-		n := uint64(len(xs))
-		if n > free {
-			n = free
-		}
-		if !r.enq.CompareAndSwap(pos, pos+n) {
-			continue
-		}
-		for i := uint64(0); i < n; i++ {
-			c := &r.cells[(pos+i)&r.mask]
-			c.val = xs[i]
-			c.seq.Store(pos + i + 1)
-		}
-		return int(n)
+	pos, n := r.claim(len(xs))
+	if n == 0 {
+		return 0
 	}
+	i := pos & r.mask
+	k := copy(r.vals[i:], xs[:n])
+	copy(r.vals, xs[k:n])
+	r.head[i].Store(pos + n)
+	return int(n)
 }
 
 // Pop dequeues one element. At most one goroutine may hold the pop role at
 // a time (see the type comment).
 func (r *Ring) Pop() (int64, bool) {
-	d := r.deq.Load()
-	c := &r.cells[d&r.mask]
-	if c.seq.Load() != d+1 {
-		return 0, false
-	}
-	v := c.val
-	// Recycle the cell before publishing the new cursor: PushBatch sizes
-	// its claim from the cursor, so cursor-visible slots must already be
-	// writable.
-	c.seq.Store(d + r.mask + 1)
-	r.deq.Store(d + 1)
-	return v, true
+	var b [1]int64
+	n := r.PopInto(b[:])
+	return b[0], n == 1
 }
 
 // PopInto dequeues up to len(buf) elements into buf, returning how many it
-// took. Same pop-role rule as Pop.
+// took. It stops at the first claimed run not yet published, even when
+// later runs are. Same pop-role rule as Pop.
+//
+//robust:hotpath
 func (r *Ring) PopInto(buf []int64) int {
+	d, e := r.deq.Load(), r.end
 	n := 0
 	for n < len(buf) {
-		v, ok := r.Pop()
-		if !ok {
-			break
+		if d == e {
+			h := r.head[d&r.mask].Load()
+			if h <= d {
+				break // a header from an earlier lap: the run at d is unpublished
+			}
+			e = h
 		}
-		buf[n] = v
-		n++
+		i := d & r.mask
+		k := copy(buf[n:], r.vals[i:min(i+(e-d), uint64(len(r.vals)))])
+		d += uint64(k)
+		n += k
+	}
+	r.end = e
+	if n > 0 {
+		r.deq.Store(d)
 	}
 	return n
 }
