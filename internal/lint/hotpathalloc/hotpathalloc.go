@@ -1,6 +1,6 @@
 // Package hotpathalloc guards the 0 allocs/op pins of BENCH.md: functions
-// annotated //robust:hotpath (the OfferBatch family, Ring.Push/PushBatch/
-// PopInto, the router batch lanes, the accumulator's AddStreamBatch) are
+// annotated //robust:hotpath (the OfferBatch family, Ring.PushBatch/
+// PopInto, the live run routes, the accumulator's AddStreamBatch) are
 // checked for constructs that defeat the zero-allocation steady state, and
 // the set of annotations is cross-checked against a committed golden list
 // so a new hot path cannot appear without registering (and an old one

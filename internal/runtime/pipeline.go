@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	stdruntime "runtime"
@@ -11,6 +12,15 @@ import (
 
 // ErrClosed reports an Offer against a closed producer lane or pipeline.
 var ErrClosed = errors.New("runtime: pipeline is closed")
+
+// ErrBackpressure reports an Offer that gave up waiting for ring space
+// because its context expired; it is always joined with the context's own
+// error, so errors.Is matches both.
+var ErrBackpressure = errors.New("runtime: offer gave up under backpressure")
+
+// ErrDrainTimeout reports a CloseCtx that gave up waiting for the shutdown
+// drain; the drain itself keeps running in the background.
+var ErrDrainTimeout = errors.New("runtime: close drain deadline exceeded")
 
 // Config describes a pipeline. Exactly one of RouteLive / RouteSerial is
 // consulted, selected by Deterministic.
@@ -37,18 +47,14 @@ type Config struct {
 	// elements p, p+P, p+2P, ...) therefore reproduces serial ingest of
 	// the original stream exactly.
 	Deterministic bool
-	// RouteLive routes one element in live mode. It is called concurrently
-	// from producer goroutines and must be safe for that; the producer
-	// index identifies the calling lane so implementations can keep
-	// per-lane state (e.g. a private RNG) without synchronization.
-	RouteLive func(producer int, x int64) int
-	// RouteLiveBatch, when non-nil, routes a whole batch in live mode:
-	// it must fill dst[i] with the destination shard of xs[i], exactly as
-	// len(xs) RouteLive calls on the same lane would (len(dst) == len(xs)).
-	// Batch offers then bucket elements per shard and enqueue each bucket
-	// with one ring claim instead of one per element. Same concurrency
-	// contract as RouteLive.
-	RouteLiveBatch func(producer int, xs []int64, dst []int)
+	// RouteLive routes a run of elements in live mode: it fills dst[i]
+	// with the destination shard of xs[i] (len(dst) == len(xs)). Offers
+	// then bucket the run per shard and enqueue each bucket with one ring
+	// claim; a single-element offer routes a run of one. It is called
+	// concurrently from producer goroutines and must be safe for that; the
+	// producer index identifies the calling lane so implementations can
+	// keep per-lane state (e.g. a private RNG) without synchronization.
+	RouteLive func(producer int, xs []int64, dst []int)
 	// RouteSerial routes one element in deterministic mode. It is called
 	// from the router goroutine only, in global sequence order.
 	RouteSerial func(x int64) int
@@ -83,7 +89,7 @@ type Epoch struct {
 }
 
 // Pipeline is a running ingest pipeline. Start it with Start, feed it
-// through Producer lanes, and stop it with Close (which drains everything
+// through Producer lanes, and stop it with CloseCtx (which drains everything
 // already offered).
 type Pipeline struct {
 	cfg       Config
@@ -112,10 +118,10 @@ type Producer struct {
 	closed   atomic.Bool
 	inFlight atomic.Int64 // offers past the closed check but not yet pushed
 
-	// Batch-routing scratch, owned by the lane's driving goroutine.
-	dst     []int     // per-element destinations from RouteLiveBatch
+	// Routing scratch, owned by the lane's driving goroutine.
+	one     [1]int64  // a single-element offer's run of one
+	dst     []int     // per-element destinations from RouteLive
 	buckets [][]int64 // per-shard element runs for PushBatch
-	boff    uint64    // xorshift state for the ctx offers' backoff jitter
 }
 
 // Start validates cfg and launches the pipeline's goroutines: one consumer
@@ -192,84 +198,90 @@ func idleWait(spin *int) {
 	time.Sleep(20 * time.Microsecond)
 }
 
-// push enqueues with backpressure: it spins/sleeps while the ring is full.
-func push(r *Ring, x int64) {
-	spin := 0
-	for !r.Push(x) {
-		idleWait(&spin)
-	}
-}
-
-// pushAll enqueues a whole run with backpressure, claiming as many slots
-// per ring operation as are free.
-func pushAll(r *Ring, xs []int64) {
-	spin := 0
-	for len(xs) > 0 {
-		n := r.PushBatch(xs)
-		if n == 0 {
-			idleWait(&spin)
+// pushAll is the one ring-push loop: it enqueues a run, claiming as many
+// slots per ring operation as are free, and while the ring is full it
+// waits by idleWait, checking ctx between waits. It returns how many
+// elements landed; if ctx ends first the error matches both
+// ErrBackpressure and the ctx error. Blocking callers pass
+// context.Background(), which never ends.
+func pushAll(ctx context.Context, r *Ring, xs []int64) (int, error) {
+	pushed, spin := 0, 0
+	for pushed < len(xs) {
+		if n := r.PushBatch(xs[pushed:]); n > 0 {
+			pushed += n
+			spin = 0
 			continue
 		}
-		spin = 0
-		xs = xs[n:]
+		if err := ctx.Err(); err != nil {
+			return pushed, errors.Join(ErrBackpressure, err)
+		}
+		idleWait(&spin)
 	}
+	return pushed, nil
 }
 
-// Offer submits one element to the lane, blocking (spin-then-sleep) when
-// the pipeline applies backpressure. It reports ErrClosed after the lane or
-// pipeline has been closed; elements accepted before that are never lost.
-//
-// The in-flight counter is incremented BEFORE the closed check and
-// decremented after the push lands: Close stores its closing flag first and
-// then waits for in-flight offers to drain, so under sequentially
-// consistent atomics every offer either observes the flag (and pushes
-// nothing) or is observed by Close (which then waits for its push) — an
-// accepted element can never slip past the shutdown drain.
+// Offer submits one element to the lane, blocking (spin-then-sleep) while
+// the pipeline applies backpressure: OfferBatchCtx of a run of one without
+// a deadline.
 func (pr *Producer) Offer(x int64) error {
-	pr.inFlight.Add(1)
-	defer pr.inFlight.Add(-1)
-	if pr.closed.Load() || pr.p.closing.Load() {
-		return ErrClosed
-	}
-	if pr.ring != nil { // deterministic: into the lane ring, merged by the router
-		push(pr.ring, x)
-		return nil
-	}
-	push(pr.p.shardRing[pr.p.cfg.RouteLive(pr.idx, x)], x)
-	return nil
+	return pr.OfferCtx(context.Background(), x)
+}
+
+// OfferCtx is Offer with bounded waiting: once ctx is done it stops
+// waiting for ring space and returns an error matching both
+// ErrBackpressure and the ctx error; the element was then not accepted.
+func (pr *Producer) OfferCtx(ctx context.Context, x int64) error {
+	pr.one[0] = x
+	_, err := pr.OfferBatchCtx(ctx, pr.one[:])
+	return err
 }
 
 // OfferBatch submits a run of consecutive elements (equivalent to offering
-// them one by one on this lane). It shares Offer's shutdown protocol.
+// them one by one on this lane), blocking while the pipeline applies
+// backpressure: OfferBatchCtx without a deadline.
+func (pr *Producer) OfferBatch(xs []int64) error {
+	_, err := pr.OfferBatchCtx(context.Background(), xs)
+	return err
+}
+
+// OfferBatchCtx is the lane body behind every offer. It submits a run of
+// consecutive elements and returns how many were accepted. While the
+// pipeline applies backpressure it waits (cooperative yields, then short
+// sleeps) until ctx is done, and then returns an error matching both
+// ErrBackpressure and the ctx error. The count is then the accepted prefix
+// on lane-ordered paths, or the per-shard total on the live bucketed path
+// (which elements landed is routing-dependent; accepted elements are
+// applied normally either way, so round counters stay conserved). After
+// the lane or pipeline has been closed it reports ErrClosed; elements
+// accepted before that are never lost.
+//
+// The in-flight counter is incremented BEFORE the closed check and
+// decremented after the push lands: the drain stores its closing flag first
+// and then waits for in-flight offers to drain, so under sequentially
+// consistent atomics every offer either observes the flag (and pushes
+// nothing) or is observed by the drain (which then waits for its push) — an
+// accepted element can never slip past the shutdown drain.
 //
 // This is the ingest hot path: in deterministic mode the run lands in the
-// lane ring with one slot claim per free stretch; in live mode, when the
-// router provides RouteLiveBatch, the run is routed in one call, bucketed
-// per shard, and each bucket enqueued with PushBatch. Elements bound for
-// the same shard keep their relative order (the bucketing is stable), which
-// is all the ordering live mode ever promises.
+// lane ring with one slot claim per free stretch; in live mode it is routed
+// in one RouteLive call, bucketed per shard, and each bucket enqueued with
+// PushBatch. Elements bound for the same shard keep their relative order
+// (the bucketing is stable), which is all the ordering live mode ever
+// promises.
 //
 //robust:hotpath
-func (pr *Producer) OfferBatch(xs []int64) error {
+func (pr *Producer) OfferBatchCtx(ctx context.Context, xs []int64) (int, error) {
 	pr.inFlight.Add(1)
 	defer pr.inFlight.Add(-1) //robust:alloc open-coded defer (no closure, single site); required for crash-safe in-flight accounting on every exit path
 	if pr.closed.Load() || pr.p.closing.Load() {
-		return ErrClosed
+		return 0, ErrClosed
 	}
-	if pr.ring != nil {
-		pushAll(pr.ring, xs)
-		return nil
+	if pr.ring != nil { // deterministic: into the lane ring, merged by the router
+		return pushAll(ctx, pr.ring, xs)
 	}
 	p := pr.p
-	if p.cfg.RouteLiveBatch == nil {
-		for _, x := range xs {
-			push(p.shardRing[p.cfg.RouteLive(pr.idx, x)], x)
-		}
-		return nil
-	}
 	if p.cfg.Shards == 1 {
-		pushAll(p.shardRing[0], xs)
-		return nil
+		return pushAll(ctx, p.shardRing[0], xs)
 	}
 	if cap(pr.dst) < len(xs) {
 		pr.dst = make([]int, len(xs))
@@ -278,7 +290,7 @@ func (pr *Producer) OfferBatch(xs []int64) error {
 		pr.buckets = make([][]int64, p.cfg.Shards)
 	}
 	dst := pr.dst[:len(xs)]
-	p.cfg.RouteLiveBatch(pr.idx, xs, dst)
+	p.cfg.RouteLive(pr.idx, xs, dst)
 	buckets := pr.buckets
 	for s := range buckets {
 		buckets[s] = buckets[s][:0]
@@ -287,12 +299,18 @@ func (pr *Producer) OfferBatch(xs []int64) error {
 		s := dst[i]
 		buckets[s] = append(buckets[s], x)
 	}
+	accepted := 0
 	for s, b := range buckets {
-		if len(b) > 0 {
-			pushAll(p.shardRing[s], b)
+		if len(b) == 0 {
+			continue
+		}
+		n, err := pushAll(ctx, p.shardRing[s], b)
+		accepted += n
+		if err != nil {
+			return accepted, err
 		}
 	}
-	return nil
+	return accepted, nil
 }
 
 // Close marks the lane done. In deterministic mode this removes it from the
@@ -318,8 +336,7 @@ func (p *Pipeline) routerLoop() {
 		spin := 0
 		for {
 			if x, ok := pr.ring.Pop(); ok {
-				push(p.shardRing[p.cfg.RouteSerial(x)], x)
-				p.routed[lane].Add(1)
+				p.forward(lane, x)
 				break
 			}
 			if pr.closed.Load() && pr.ring.Empty() {
@@ -331,6 +348,14 @@ func (p *Pipeline) routerLoop() {
 		}
 		lane = (lane + 1) % P
 	}
+}
+
+// forward routes x serially and pushes it into its shard ring, blocking
+// under backpressure (deterministic mode: the router goroutine, or the
+// shutdown sweep once the router has exited).
+func (p *Pipeline) forward(lane int, x int64) {
+	pushAll(context.Background(), p.shardRing[p.cfg.RouteSerial(x)], []int64{x})
+	p.routed[lane].Add(1)
 }
 
 // drain pops one bounded chunk from shard s's ring and applies it, all
@@ -506,17 +531,33 @@ func (p *Pipeline) Freeze(fn func()) Epoch {
 	return Epoch{Seq: p.epoch.Add(1), Applied: p.Applied()}
 }
 
-// Close shuts the pipeline down gracefully: it closes every lane, drains
-// everything already offered into shard state, stops the goroutines, and
-// returns the final epoch. Close is idempotent; producers racing with it
-// get ErrClosed. Offered elements are never dropped: Close first waits out
-// the offers already past the closed check (see Producer.Offer's in-flight
-// protocol), and after the goroutines exit it sweeps the rings once more
-// (single-threaded, so the rings' pop role transfers safely) for any
-// push that landed after a lane was declared drained.
-func (p *Pipeline) Close() Epoch {
-	<-p.beginClose()
-	return Epoch{Seq: p.epoch.Add(1), Applied: p.Applied()}
+// CloseCtx shuts the pipeline down gracefully: it closes every lane,
+// drains everything already offered into shard state, stops the
+// goroutines, and returns the final epoch. It is idempotent; producers
+// racing with it get ErrClosed. Offered elements are never dropped: the
+// drain first waits out the offers already past the closed check (see
+// Producer.OfferBatchCtx's in-flight protocol), and after the goroutines
+// exit it sweeps the rings once more (single-threaded, so the rings' pop
+// role transfers safely) for any push that landed after a lane was
+// declared drained.
+//
+// The wait for the drain ends with ctx: CloseCtx then returns an error
+// matching both ErrDrainTimeout and the ctx error; the drain keeps running
+// in the background, and a later CloseCtx waits for the same drain. A
+// completed drain wins over an expired ctx. A close without a deadline
+// passes context.Background().
+func (p *Pipeline) CloseCtx(ctx context.Context) (Epoch, error) {
+	drained := p.beginClose()
+	select {
+	case <-drained:
+	case <-ctx.Done():
+		select {
+		case <-drained:
+		default:
+			return Epoch{Seq: p.epoch.Load(), Applied: p.Applied()}, errors.Join(ErrDrainTimeout, ctx.Err())
+		}
+	}
+	return Epoch{Seq: p.epoch.Add(1), Applied: p.Applied()}, nil
 }
 
 // beginClose starts the shutdown drain exactly once — on its own goroutine,
@@ -534,7 +575,7 @@ func (p *Pipeline) beginClose() <-chan struct{} {
 	return p.drained
 }
 
-// shutdown is the drain body behind Close/CloseCtx; it runs exactly once.
+// shutdown is the drain body behind CloseCtx; it runs exactly once.
 func (p *Pipeline) shutdown() {
 	p.closing.Store(true)
 	for _, pr := range p.producers {
@@ -561,8 +602,7 @@ func (p *Pipeline) shutdown() {
 				if !ok {
 					break
 				}
-				push(p.shardRing[p.cfg.RouteSerial(x)], x)
-				p.routed[i].Add(1)
+				p.forward(i, x)
 			}
 		}
 	}

@@ -1,10 +1,13 @@
 package runtime
 
 import (
+	"context"
+	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // collectingApply returns an Apply that appends per-shard (no locking
@@ -17,6 +20,21 @@ func collectingApply(shards int) (func(int, []int64), func() [][]int64) {
 		}, func() [][]int64 {
 			return got
 		}
+}
+
+// Close is CloseCtx without a deadline, the tests' shorthand.
+func (p *Pipeline) Close() Epoch {
+	ep, _ := p.CloseCtx(context.Background())
+	return ep
+}
+
+// routeEach lifts a per-element route into Config.RouteLive's run form.
+func routeEach(route func(x int64) int) func(int, []int64, []int) {
+	return func(_ int, xs []int64, dst []int) {
+		for i, x := range xs {
+			dst[i] = route(x)
+		}
+	}
 }
 
 func TestPipelineDeterministicRoundRobinMerge(t *testing.T) {
@@ -95,7 +113,7 @@ func TestPipelineLiveConservation(t *testing.T) {
 		Shards:    S,
 		Producers: P,
 		RingSize:  128,
-		RouteLive: func(_ int, x int64) int { return int(uint64(x) % S) },
+		RouteLive: routeEach(func(x int64) int { return int(uint64(x) % S) }),
 		Apply:     apply,
 	})
 	if err != nil {
@@ -159,7 +177,7 @@ func TestPipelineFlushBarrierDuringIngest(t *testing.T) {
 	p, err := Start(Config{
 		Shards:    2,
 		Producers: 1,
-		RouteLive: func(_ int, x int64) int { return int(x) & 1 },
+		RouteLive: routeEach(func(x int64) int { return int(x) & 1 }),
 		Apply:     func(_ int, xs []int64) { applied.Add(int64(len(xs))) },
 	})
 	if err != nil {
@@ -191,7 +209,7 @@ func TestPipelineWithShardExcludesApply(t *testing.T) {
 	p, err := Start(Config{
 		Shards:    1,
 		Producers: 1,
-		RouteLive: func(_ int, _ int64) int { return 0 },
+		RouteLive: routeEach(func(int64) int { return 0 }),
 		Apply: func(_ int, xs []int64) {
 			inApply.Store(true)
 			for range xs {
@@ -239,7 +257,7 @@ func TestPipelineCloseDrainsAndRejects(t *testing.T) {
 	p, err := Start(Config{
 		Shards:    1,
 		Producers: 1,
-		RouteLive: func(_ int, _ int64) int { return 0 },
+		RouteLive: routeEach(func(int64) int { return 0 }),
 		Apply:     apply,
 	})
 	if err != nil {
@@ -275,7 +293,7 @@ func TestPipelineFreezeConsistentCut(t *testing.T) {
 	p, err := Start(Config{
 		Shards:    S,
 		Producers: 2,
-		RouteLive: func(_ int, x int64) int { return int(uint64(x) % S) },
+		RouteLive: routeEach(func(x int64) int { return int(uint64(x) % S) }),
 		Apply:     func(s int, xs []int64) { counts[s].Add(int64(len(xs))) },
 	})
 	if err != nil {
@@ -319,9 +337,142 @@ func TestPipelineFreezeConsistentCut(t *testing.T) {
 	p.Close()
 }
 
+// TestPipelineOfferPaths runs each of the four offers — Offer, OfferCtx,
+// OfferBatch, OfferBatchCtx, all one lane body — through live pipelines
+// with 1 and 3 shards and a deterministic one, from 2 lanes striping one
+// stream over small rings so the shared wait loop runs. After Flush every
+// element must sit on its routed shard exactly once, in lane order (the
+// deterministic merge rebuilds the stream's order exactly), with
+// Offered() == Applied().
+func TestPipelineOfferPaths(t *testing.T) {
+	const P, n, batch = 2, 3000, 37
+	stream := make([]int64, n)
+	for i := range stream {
+		stream[i] = int64(i)
+	}
+	offers := []struct {
+		name  string
+		offer func(pr *Producer, xs []int64) error
+	}{
+		{"Offer", func(pr *Producer, xs []int64) error {
+			for _, x := range xs {
+				if err := pr.Offer(x); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"OfferCtx", func(pr *Producer, xs []int64) error {
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			for _, x := range xs {
+				if err := pr.OfferCtx(ctx, x); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"OfferBatch", func(pr *Producer, xs []int64) error {
+			for len(xs) > 0 {
+				k := min(batch, len(xs))
+				if err := pr.OfferBatch(xs[:k]); err != nil {
+					return err
+				}
+				xs = xs[k:]
+			}
+			return nil
+		}},
+		{"OfferBatchCtx", func(pr *Producer, xs []int64) error {
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			for len(xs) > 0 {
+				k := min(batch, len(xs))
+				if m, err := pr.OfferBatchCtx(ctx, xs[:k]); err != nil || m != k {
+					return fmt.Errorf("accepted %d of %d: %v", m, k, err)
+				}
+				xs = xs[k:]
+			}
+			return nil
+		}},
+	}
+	modes := []struct {
+		name          string
+		shards        int
+		deterministic bool
+	}{
+		{"live/S=1", 1, false},
+		{"live/S=3", 3, false},
+		{"deterministic/S=3", 3, true},
+	}
+	for _, mode := range modes {
+		S := mode.shards
+		route := func(x int64) int { return int(uint64(x) % uint64(S)) }
+		for _, o := range offers {
+			name := mode.name + "/" + o.name
+			apply, got := collectingApply(S)
+			cfg := Config{Shards: S, Producers: P, RingSize: 16, ChunkCap: 8, Apply: apply,
+				Deterministic: mode.deterministic}
+			if mode.deterministic {
+				cfg.RouteSerial = route
+			} else {
+				cfg.RouteLive = routeEach(route)
+			}
+			p, err := Start(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			wg.Add(P)
+			for lane := 0; lane < P; lane++ {
+				go func(lane int) {
+					defer wg.Done()
+					var xs []int64
+					for i := lane; i < n; i += P {
+						xs = append(xs, stream[i])
+					}
+					if err := o.offer(p.Producer(lane), xs); err != nil {
+						t.Errorf("%s: lane %d: %v", name, lane, err)
+					}
+					p.Producer(lane).Close()
+				}(lane)
+			}
+			wg.Wait()
+			if ep := p.Flush(); ep.Applied != n || p.Offered() != n || p.Applied() != n {
+				t.Fatalf("%s: offered %d, applied %d (epoch %d), want %d", name, p.Offered(), p.Applied(), ep.Applied, n)
+			}
+			for s, xs := range got() {
+				var want []int64
+				for _, x := range stream {
+					if route(x) == s {
+						want = append(want, x)
+					}
+				}
+				have := xs
+				if !mode.deterministic {
+					// Live mode promises only per-lane FIFO per shard.
+					last := make([]int64, P)
+					for _, x := range xs {
+						lane := x % P
+						if x < last[lane] {
+							t.Fatalf("%s: shard %d: lane %d order violated: %d after %d", name, s, lane, x, last[lane])
+						}
+						last[lane] = x
+					}
+					have = slices.Clone(xs)
+					slices.Sort(have)
+				}
+				if !slices.Equal(have, want) {
+					t.Fatalf("%s: shard %d holds %d elements, want %d in routed order", name, s, len(have), len(want))
+				}
+			}
+			p.Close()
+		}
+	}
+}
+
 func TestPipelineConfigValidation(t *testing.T) {
 	apply := func(int, []int64) {}
-	live := func(int, int64) int { return 0 }
+	live := routeEach(func(int64) int { return 0 })
 	for name, cfg := range map[string]Config{ //robust:nondet subtest table; each case is independent of order
 
 		"no shards":     {Shards: 0, Producers: 1, RouteLive: live, Apply: apply},

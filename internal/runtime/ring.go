@@ -43,13 +43,13 @@ import "sync/atomic"
 // the ring), so the popper reads it as "not yet published". And no
 // producer can publish at d+cap before position d is consumed.
 //
-// Any number of goroutines may Push or PushBatch concurrently; Pop and
-// PopInto must be serialized by the caller (at most one goroutine popping
-// at a time — the pipeline enforces this with the shard lock, which is what
-// lets idle consumers steal from foreign rings). The dequeue cursor is
-// atomic so producers and stealers may read Backlog and Empty concurrently
-// with the popper. Capacity counts elements and is rounded up to a power
-// of two.
+// Any number of goroutines may PushBatch concurrently (a single element is
+// a run of one); Pop and PopInto must be serialized by the caller (at most
+// one goroutine popping at a time — the pipeline enforces this with the
+// shard lock, which is what lets idle consumers steal from foreign rings).
+// The dequeue cursor is atomic so producers and stealers may read Backlog
+// and Empty concurrently with the popper. Capacity counts elements and is
+// rounded up to a power of two.
 type Ring struct {
 	mask uint64
 	vals []int64
@@ -87,20 +87,6 @@ func (r *Ring) claim(want int) (pos, n uint64) {
 			return pos, n
 		}
 	}
-}
-
-// Push enqueues x as a run of one, reporting false when the ring is full.
-// Safe for concurrent use by any number of producers.
-//
-//robust:hotpath
-func (r *Ring) Push(x int64) bool {
-	pos, n := r.claim(1)
-	if n == 0 {
-		return false
-	}
-	r.vals[pos&r.mask] = x
-	r.head[pos&r.mask].Store(pos + 1)
-	return true
 }
 
 // PushBatch enqueues a prefix of xs as one run: it reserves
@@ -177,7 +163,7 @@ func (r *Ring) Backlog() uint64 {
 	return e - d
 }
 
-// Pushed returns the number of pushes ever started on the ring. An element
-// whose Push has returned is always counted; the FIFO drain barrier in
-// Pipeline.Flush is built on this.
+// Pushed returns the number of elements whose push has started on the
+// ring. An element whose PushBatch has returned is always counted; the
+// FIFO drain barrier in Pipeline.Flush is built on this.
 func (r *Ring) Pushed() uint64 { return r.enq.Load() }

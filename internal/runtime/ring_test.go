@@ -10,6 +10,10 @@ import (
 // Cap returns the ring capacity.
 func (r *Ring) Cap() int { return len(r.vals) }
 
+// Push enqueues x as a run of one, reporting false when the ring is full:
+// the shape of every single-element offer.
+func (r *Ring) Push(x int64) bool { return r.PushBatch([]int64{x}) == 1 }
+
 func TestRingSerialFIFO(t *testing.T) {
 	r := NewRing(8)
 	if r.Cap() != 8 {

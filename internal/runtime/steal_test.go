@@ -160,13 +160,8 @@ func TestPipelineSkewedRoutingLiveness(t *testing.T) {
 		Producers: P,
 		RingSize:  64, // small ring: shard 0 backs up, consumers 1..3 idle
 		ChunkCap:  32,
-		RouteLive: func(_ int, x int64) int { return route(x) },
-		RouteLiveBatch: func(_ int, xs []int64, dst []int) {
-			for i, x := range xs {
-				dst[i] = route(x)
-			}
-		},
-		Apply: apply,
+		RouteLive: routeEach(route),
+		Apply:     apply,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,27 +1,14 @@
 package runtime
 
-// Supervision and bounded waiting: the failure-model half of the pipeline.
-// The hot path in pipeline.go assumes consumers never fail and callers can
-// wait forever; this file adds the supervised apply path (panic recovery
-// with retry/drop dispositions and per-shard loss accounting), deadline-
-// aware offers with jittered backoff, a drain deadline for Close, and a
-// non-blocking shard-lock acquire for degraded reads.
+// Supervision and bounded lock waits: the failure-model half of the
+// pipeline. The hot path in pipeline.go assumes consumers never fail; this
+// file adds the supervised apply path (panic recovery with retry/drop
+// dispositions and per-shard loss accounting) and a bounded shard-lock
+// acquire for degraded reads. Bounded offers and closes are no separate
+// path: every offer is OfferBatchCtx and every close CloseCtx, and the
+// blocking forms pass context.Background().
 
-import (
-	"context"
-	"errors"
-	stdruntime "runtime"
-	"time"
-)
-
-// ErrBackpressure reports an Offer that gave up waiting for ring space
-// because its context expired; it is always joined with the context's own
-// error, so errors.Is matches both.
-var ErrBackpressure = errors.New("runtime: offer gave up under backpressure")
-
-// ErrDrainTimeout reports a CloseCtx that gave up waiting for the shutdown
-// drain; the drain itself keeps running in the background.
-var ErrDrainTimeout = errors.New("runtime: close drain deadline exceeded")
+import "time"
 
 // Disposition is a supervisor's verdict on a failed apply attempt.
 type Disposition uint8
@@ -95,185 +82,6 @@ func (p *Pipeline) Lost() uint64 {
 
 // ShardLost returns shard s's dropped-element count.
 func (p *Pipeline) ShardLost(s int) uint64 { return p.lost[s].Load() }
-
-// Backoff bounds for the ctx offers: sleeps start at backoffMin after the
-// spin phase and double (with jitter) up to backoffMax, so a briefly full
-// ring costs microseconds while a wedged one doesn't spin a core.
-const (
-	backoffMin = 4 * time.Microsecond
-	backoffMax = time.Millisecond
-)
-
-// jitter steps the lane's xorshift state; lane-owned, so no synchronization
-// (the lane's driving goroutine is the only caller).
-func (pr *Producer) jitter() uint64 {
-	s := pr.boff
-	if s == 0 {
-		s = uint64(pr.idx)*0x9E3779B97F4A7C15 + 0x1F123BB5
-	}
-	s ^= s << 13
-	s ^= s >> 7
-	s ^= s << 17
-	pr.boff = s
-	return s
-}
-
-// sleepJittered sleeps a uniformly jittered duration in [d/2, d) — the
-// desynchronization that keeps P stalled lanes from retrying in lockstep
-// against the same full ring.
-func (pr *Producer) sleepJittered(d time.Duration) {
-	half := uint64(d / 2)
-	time.Sleep(time.Duration(half + pr.jitter()%(half+1)))
-}
-
-// pushCtx enqueues x with bounded waiting: a short cooperative-yield spin,
-// then jittered exponential backoff, giving up when ctx is done.
-func (pr *Producer) pushCtx(ctx context.Context, r *Ring, x int64) error {
-	if r.Push(x) {
-		return nil
-	}
-	done := ctx.Done()
-	backoff := backoffMin
-	spin := 0
-	for {
-		if r.Push(x) {
-			return nil
-		}
-		if spin < 64 {
-			spin++
-			stdruntime.Gosched()
-			continue
-		}
-		select {
-		case <-done:
-			return errors.Join(ErrBackpressure, ctx.Err())
-		default:
-		}
-		pr.sleepJittered(backoff)
-		if backoff < backoffMax {
-			backoff *= 2
-		}
-	}
-}
-
-// pushAllCtx enqueues a run with bounded waiting, returning how many
-// elements landed. Progress resets the backoff; only a full stall walks it
-// up to backoffMax.
-func (pr *Producer) pushAllCtx(ctx context.Context, r *Ring, xs []int64) (int, error) {
-	done := ctx.Done()
-	backoff := backoffMin
-	spin := 0
-	pushed := 0
-	for pushed < len(xs) {
-		if n := r.PushBatch(xs[pushed:]); n > 0 {
-			pushed += n
-			spin = 0
-			backoff = backoffMin
-			continue
-		}
-		if spin < 64 {
-			spin++
-			stdruntime.Gosched()
-			continue
-		}
-		select {
-		case <-done:
-			return pushed, errors.Join(ErrBackpressure, ctx.Err())
-		default:
-		}
-		pr.sleepJittered(backoff)
-		if backoff < backoffMax {
-			backoff *= 2
-		}
-	}
-	return pushed, nil
-}
-
-// OfferCtx is Offer with bounded waiting: when the pipeline applies
-// backpressure it waits with jittered exponential backoff and gives up once
-// ctx is done, returning an error matching both ErrBackpressure and the
-// ctx error. A rejected element was not accepted and is not counted.
-// Shares Offer's shutdown protocol and its ErrClosed semantics.
-func (pr *Producer) OfferCtx(ctx context.Context, x int64) error {
-	pr.inFlight.Add(1)
-	defer pr.inFlight.Add(-1)
-	if pr.closed.Load() || pr.p.closing.Load() {
-		return ErrClosed
-	}
-	if pr.ring != nil {
-		return pr.pushCtx(ctx, pr.ring, x)
-	}
-	return pr.pushCtx(ctx, pr.p.shardRing[pr.p.cfg.RouteLive(pr.idx, x)], x)
-}
-
-// OfferBatchCtx is OfferBatch with bounded waiting. It returns how many of
-// the batch's elements were accepted: on ErrBackpressure the prefix count
-// for lane-ordered paths, or the per-shard total for the live bucketed path
-// (which elements landed is then routing-dependent — accepted elements are
-// applied normally either way, so round counters stay conserved).
-func (pr *Producer) OfferBatchCtx(ctx context.Context, xs []int64) (int, error) {
-	pr.inFlight.Add(1)
-	defer pr.inFlight.Add(-1)
-	if pr.closed.Load() || pr.p.closing.Load() {
-		return 0, ErrClosed
-	}
-	if pr.ring != nil {
-		return pr.pushAllCtx(ctx, pr.ring, xs)
-	}
-	p := pr.p
-	if p.cfg.RouteLiveBatch == nil {
-		for i, x := range xs {
-			if err := pr.pushCtx(ctx, p.shardRing[p.cfg.RouteLive(pr.idx, x)], x); err != nil {
-				return i, err
-			}
-		}
-		return len(xs), nil
-	}
-	if p.cfg.Shards == 1 {
-		return pr.pushAllCtx(ctx, p.shardRing[0], xs)
-	}
-	if cap(pr.dst) < len(xs) {
-		pr.dst = make([]int, len(xs))
-	}
-	if pr.buckets == nil {
-		pr.buckets = make([][]int64, p.cfg.Shards)
-	}
-	dst := pr.dst[:len(xs)]
-	p.cfg.RouteLiveBatch(pr.idx, xs, dst)
-	buckets := pr.buckets
-	for s := range buckets {
-		buckets[s] = buckets[s][:0]
-	}
-	for i, x := range xs {
-		buckets[dst[i]] = append(buckets[dst[i]], x)
-	}
-	accepted := 0
-	for s, b := range buckets {
-		if len(b) == 0 {
-			continue
-		}
-		n, err := pr.pushAllCtx(ctx, p.shardRing[s], b)
-		accepted += n
-		if err != nil {
-			return accepted, err
-		}
-	}
-	return accepted, nil
-}
-
-// CloseCtx is Close with a drain deadline: it starts the shutdown drain
-// (idempotently, shared with Close) and waits for it until ctx is done. On
-// timeout it returns an error matching both ErrDrainTimeout and the ctx
-// error; the drain keeps running in the background, and a later Close or
-// CloseCtx waits for the same drain.
-func (p *Pipeline) CloseCtx(ctx context.Context) (Epoch, error) {
-	select {
-	case <-p.beginClose():
-		return Epoch{Seq: p.epoch.Add(1), Applied: p.Applied()}, nil
-	case <-ctx.Done():
-		return Epoch{Seq: p.epoch.Load(), Applied: p.Applied()}, errors.Join(ErrDrainTimeout, ctx.Err())
-	}
-}
 
 // TryWithShard is WithShard with bounded waiting: it runs fn under shard
 // s's lock if the lock can be had within wait (a single attempt when wait

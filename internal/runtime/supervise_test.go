@@ -22,7 +22,7 @@ func startSupervised(t *testing.T, before func(int, int, []int64), onPanic func(
 		Producers:    1,
 		RingSize:     64,
 		ChunkCap:     1,
-		RouteLive:    func(int, int64) int { return 0 },
+		RouteLive:    routeEach(func(int64) int { return 0 }),
 		Apply:        apply,
 		BeforeApply:  before,
 		OnApplyPanic: onPanic,
@@ -180,7 +180,7 @@ func TestOfferCtxBackpressure(t *testing.T) {
 		Producers: 1,
 		RingSize:  2,
 		ChunkCap:  4,
-		RouteLive: func(int, int64) int { return 0 },
+		RouteLive: routeEach(func(int64) int { return 0 }),
 		Apply: func(s int, xs []int64) {
 			<-gate // wedged consumer holding the shard lock
 			apply(s, xs)
@@ -224,7 +224,7 @@ func TestCloseCtxDrainDeadline(t *testing.T) {
 		Producers: 1,
 		RingSize:  64,
 		ChunkCap:  4,
-		RouteLive: func(int, int64) int { return 0 },
+		RouteLive: routeEach(func(int64) int { return 0 }),
 		Apply: func(s int, xs []int64) {
 			select {
 			case <-gate:
@@ -266,7 +266,7 @@ func TestTryWithShard(t *testing.T) {
 	p, err := Start(Config{
 		Shards:    1,
 		Producers: 1,
-		RouteLive: func(int, int64) int { return 0 },
+		RouteLive: routeEach(func(int64) int { return 0 }),
 		Apply:     apply,
 	})
 	if err != nil {
@@ -304,7 +304,7 @@ func TestOfferAfterClose(t *testing.T) {
 	p, err := Start(Config{
 		Shards:    1,
 		Producers: 1,
-		RouteLive: func(int, int64) int { return 0 },
+		RouteLive: routeEach(func(int64) int { return 0 }),
 		Apply:     apply,
 	})
 	if err != nil {

@@ -312,29 +312,6 @@ func (s *Serving) Health() Health {
 	return h
 }
 
-// coveredShards visits every shard under its lock with a bounded wait,
-// calling fn for the shards whose lock was acquired, and returns the
-// coverage report. The wait bound is the session's QueryWait.
-func (s *Serving) coveredShards(fn func(i int, sh *shardState)) Coverage {
-	cov := Coverage{Shards: len(s.e.shards)}
-	for i, sh := range s.e.shards {
-		ok := s.pl.TryWithShard(i, s.queryWait, func() {
-			fn(i, sh)
-			cov.Covered += sh.rounds
-		})
-		if ok {
-			cov.Included++
-		} else {
-			cov.Stalled = append(cov.Stalled, i)
-		}
-	}
-	// Routed is read after the walk: producers keep offering while it
-	// runs, and a round is counted as offered before any shard applies it,
-	// so only a later read keeps Covered <= Routed.
-	cov.Routed = s.Rounds()
-	return cov
-}
-
 // VerdictCovered is Verdict with graceful degradation: shards whose lock
 // cannot be taken within the session's QueryWait (a consumer wedged
 // mid-apply) are skipped instead of blocked on, and the verdict is the
@@ -343,47 +320,18 @@ func (s *Serving) coveredShards(fn func(i int, sh *shardState)) Coverage {
 // the [CTW16] merged read path needs. The coverage report says exactly
 // what the answer reflects.
 func (s *Serving) VerdictCovered() (setsystem.Discrepancy, Coverage) {
-	e := s.e
-	if e.cfg.NewSampler == nil {
-		panic("shard: Verdict requires samplers (routing-only engine)")
-	}
-	s.qmu.Lock()
-	defer s.qmu.Unlock()
-	if e.global == nil {
-		e.global = e.cfg.System.NewAccumulator()
-	}
-	e.global.Reset()
-	cov := s.coveredShards(func(i int, sh *shardState) {
-		e.withSampleSynced(sh, func() { e.global.MergeFrom(sh.acc) })
-	})
-	return e.global.Max(), cov
+	return s.e.verdict(s, true)
 }
 
 // SampleCovered is Sample with graceful degradation: the union sample over
 // the shards reachable within QueryWait, with the coverage report.
 func (s *Serving) SampleCovered() ([]int64, Coverage) {
-	var out []int64
-	cov := s.coveredShards(func(i int, sh *shardState) {
-		if sh.sampler != nil {
-			out = append(out, sh.sampler.View()...)
-		}
-	})
-	return out, cov
+	return s.e.sample(s, true, nil)
 }
 
 // GlobalSampleCovered is GlobalSample with graceful degradation: a uniform
 // size-k sample of the union of the covered substreams ([CTW16] fan-in over
-// the healthy subset). The caller owns r.
+// the healthy subset); empty when no shard answered. The caller owns r.
 func (s *Serving) GlobalSampleCovered(k int, r *rng.RNG) ([]int64, Coverage) {
-	e := s.e
-	if e.cfg.NewSampler == nil {
-		panic("shard: GlobalSample requires samplers (routing-only engine)")
-	}
-	views := make([][]int64, 0, len(e.shards))
-	pops := make([]int, 0, len(e.shards))
-	cov := s.coveredShards(func(i int, sh *shardState) {
-		views = append(views, append([]int64(nil), sh.sampler.View()...))
-		pops = append(pops, sh.rounds)
-	})
-	return MergeGlobalSample(views, pops, k, r), cov
+	return s.e.globalSample(s, true, k, r)
 }

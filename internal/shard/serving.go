@@ -99,6 +99,9 @@ type Serving struct {
 	queryWait   time.Duration // degraded reads' per-shard lock wait bound
 	liveRound   atomic.Int64  // live RoundRobin ticket
 	fallback    int           // fallback router round counter, under routeMu
+
+	closeOnce sync.Once     // the first completed drain syncs the engine's counters
+	closeEp   runtime.Epoch // that drain's epoch, returned by every later close
 }
 
 // Serve starts a concurrent ingest pipeline over the engine. The engine
@@ -168,7 +171,7 @@ func (e *Engine) Serve(cfg ServeConfig) (*Serving, error) {
 			return si
 		}
 	} else {
-		rcfg.RouteLive, rcfg.RouteLiveBatch = e.liveRouter(s, cfg.Producers)
+		rcfg.RouteLive = e.liveRouter(s, cfg.Producers)
 	}
 	pl, err := runtime.Start(rcfg)
 	if err != nil {
@@ -178,7 +181,7 @@ func (e *Engine) Serve(cfg ServeConfig) (*Serving, error) {
 	return s, nil
 }
 
-// routeBulk is the per-lane bulk-uniform scratch size for batch routing.
+// routeBulk is the per-lane bulk-uniform scratch size for run routing.
 const routeBulk = 256
 
 // uniformLane is one producer lane's routing state for the Uniform router:
@@ -189,33 +192,32 @@ type uniformLane struct {
 	ubuf [routeBulk]uint64
 }
 
-// liveRouter builds the producer-side routing functions for live mode —
-// the per-element one and the batch one, sharing routing state so a lane
-// may mix Offer and OfferBatch freely. The three in-repo routers route
-// without shared mutable state (per-lane RNG streams split from the
-// engine's routing stream for Uniform, a pure hash, an atomic ticket for
-// RoundRobin); unknown Router implementations fall back to a lock around
-// the serial routing path, taken once per batch on the batch side.
+// liveRouter builds the producer-side route for live mode: one function
+// per router, routing a run of elements (a single-element offer routes a
+// run of one). The three in-repo routers route without shared mutable
+// state: per-lane RNG streams split from the engine's routing stream for
+// Uniform, a pure hash for HashByValue, an atomic ticket for RoundRobin.
+// Unknown Router implementations fall back to a lock around the serial
+// routing path, taken once per run.
 //
-// The batch variants are where the per-element routing overhead goes away:
-// HashByValue hashes in unrolled groups of 8 with one bounds check per
-// group, RoundRobin claims a whole run of tickets with one atomic add, and
-// Uniform draws its uniforms in bulk (FillUniform64 with the same
-// exact-drain discipline as the samplers, so batch and scalar routing
-// consume the lane's stream identically).
-func (e *Engine) liveRouter(s *Serving, producers int) (func(int, int64) int, func(int, []int64, []int)) {
+// Each route does a run's worth of work at once: HashByValue hashes in
+// unrolled groups of 8 with one bounds check per group, RoundRobin claims
+// the run's tickets with one atomic add, and Uniform draws its uniforms in
+// bulk (FillUniform64 with the same exact-drain discipline as the
+// samplers, so however a lane's stream is split into runs, the lane's RNG
+// stream is consumed exactly as per-element Intn calls would).
+func (e *Engine) liveRouter(s *Serving, producers int) func(int, []int64, []int) {
 	S := len(e.shards)
-	switch r := e.router.(type) {
+	switch e.router.(type) {
 	case Uniform:
 		lanes := make([]*uniformLane, producers)
 		for i := range lanes {
 			lanes[i] = &uniformLane{r: e.routerRNG.Split()}
 		}
-		scalar := func(lane int, _ int64) int { return lanes[lane].r.Intn(S) }
 		m := uint64(S)
 		thresh := (-m) % m // Lemire rejection threshold, hoisted for the whole session
 		//robust:hotpath
-		batch := func(lane int, xs []int64, dst []int) {
+		route := func(lane int, _ []int64, dst []int) {
 			l := lanes[lane]
 			n := len(dst)
 			bi, bn := 0, 0
@@ -242,23 +244,18 @@ func (e *Engine) liveRouter(s *Serving, producers int) (func(int, int64) int, fu
 				dst[i] = int(hi)
 			}
 		}
-		return scalar, batch
+		return route
 	case HashByValue:
-		scalar := func(_ int, x int64) int { return r.Route(x, 0, S, nil) }
 		//robust:hotpath
-		batch := func(_ int, xs []int64, dst []int) {
+		route := func(_ int, xs []int64, dst []int) {
 			// The shared 8-wide group-hash lane; its modulo matches
-			// Route's exactly, so batch destinations are the scalar
-			// route's.
+			// Route's exactly, so run destinations are HashByValue.Route's.
 			runtime.RouteHashBatch(xs, dst, S)
 		}
-		return scalar, batch
+		return route
 	case RoundRobin:
-		scalar := func(_ int, _ int64) int {
-			return int((s.liveRound.Add(1) - 1) % int64(S))
-		}
 		//robust:hotpath
-		batch := func(_ int, xs []int64, dst []int) {
+		route := func(_ int, _ []int64, dst []int) {
 			// One atomic add claims the whole ticket run.
 			n := int64(len(dst))
 			start := s.liveRound.Add(n) - n
@@ -266,29 +263,20 @@ func (e *Engine) liveRouter(s *Serving, producers int) (func(int, int64) int, fu
 				dst[i] = int((start + int64(i)) % int64(S))
 			}
 		}
-		return scalar, batch
+		return route
 	default:
-		route := func(x int64) int {
-			s.fallback++
-			si := e.router.Route(x, s.fallback, S, e.routerRNG)
-			if si < 0 || si >= S {
-				panic("shard: router returned out-of-range shard")
-			}
-			return si
-		}
-		scalar := func(_ int, x int64) int {
-			s.routeMu.Lock()
-			defer s.routeMu.Unlock()
-			return route(x)
-		}
-		batch := func(_ int, xs []int64, dst []int) {
+		return func(_ int, xs []int64, dst []int) {
 			s.routeMu.Lock()
 			defer s.routeMu.Unlock()
 			for i, x := range xs {
-				dst[i] = route(x)
+				s.fallback++
+				si := e.router.Route(x, s.fallback, S, e.routerRNG)
+				if si < 0 || si >= S {
+					panic("shard: router returned out-of-range shard")
+				}
+				dst[i] = si
 			}
 		}
-		return scalar, batch
 	}
 }
 
@@ -317,22 +305,8 @@ func (s *Serving) Flush() runtime.Epoch { return s.pl.Flush() }
 // with shards cut at slightly different points of the in-flight stream —
 // Flush first (or quiesce producers) for a cut covering everything offered.
 func (s *Serving) Verdict() setsystem.Discrepancy {
-	e := s.e
-	if e.cfg.NewSampler == nil {
-		panic("shard: Verdict requires samplers (routing-only engine)")
-	}
-	s.qmu.Lock()
-	defer s.qmu.Unlock()
-	if e.global == nil {
-		e.global = e.cfg.System.NewAccumulator()
-	}
-	e.global.Reset()
-	for i, sh := range e.shards {
-		s.pl.WithShard(i, func() {
-			e.withSampleSynced(sh, func() { e.global.MergeFrom(sh.acc) })
-		})
-	}
-	return e.global.Max()
+	d, _ := s.e.verdict(s, false)
+	return d
 }
 
 // ShardVerdict returns shard i's local discrepancy. The shard is locked
@@ -349,36 +323,19 @@ func (s *Serving) ShardVerdict(i int) setsystem.Discrepancy {
 	if s.scratch == nil {
 		s.scratch = e.cfg.System.NewAccumulator()
 	}
-	s.pl.WithShard(i, func() {
-		e.withSampleSynced(sh, func() { s.scratch.CopyFrom(sh.acc) })
-	})
+	s.pl.WithShard(i, func() { s.scratch.CopyFrom(sh.acc) })
 	return s.scratch.Max()
 }
 
 // Sample returns a copy of the union of the per-shard samples, in shard
 // order, each shard read behind its barrier.
 func (s *Serving) Sample() []int64 {
-	var out []int64
-	for i, sh := range s.e.shards {
-		if sh.sampler == nil {
-			continue
-		}
-		s.pl.WithShard(i, func() { out = append(out, sh.sampler.View()...) })
-	}
+	out, _ := s.e.sample(s, false, nil)
 	return out
 }
 
 // SampleLen returns the union sample size.
-func (s *Serving) SampleLen() int {
-	n := 0
-	for i, sh := range s.e.shards {
-		if sh.sampler == nil {
-			continue
-		}
-		s.pl.WithShard(i, func() { n += sh.sampler.Len() })
-	}
-	return n
-}
+func (s *Serving) SampleLen() int { return s.e.sampleLen(s) }
 
 // ShardRounds returns the applied substream length of shard i.
 func (s *Serving) ShardRounds(i int) int {
@@ -393,19 +350,8 @@ func (s *Serving) ShardRounds(i int) int {
 // outside every lock. The caller owns r (pass a query-side RNG; the public
 // layer serializes it).
 func (s *Serving) GlobalSample(k int, r *rng.RNG) []int64 {
-	e := s.e
-	if e.cfg.NewSampler == nil {
-		panic("shard: GlobalSample requires samplers (routing-only engine)")
-	}
-	views := make([][]int64, len(e.shards))
-	pops := make([]int, len(e.shards))
-	for i, sh := range e.shards {
-		s.pl.WithShard(i, func() {
-			views[i] = append([]int64(nil), sh.sampler.View()...)
-			pops[i] = sh.rounds
-		})
-	}
-	return MergeGlobalSample(views, pops, k, r)
+	out, _ := s.e.globalSample(s, false, k, r)
+	return out
 }
 
 // Freeze runs fn with every shard lock held and routing paused: a single
@@ -442,11 +388,11 @@ func (s *Serving) syncRounds() {
 
 // Close drains everything offered, stops the pipeline goroutines, and
 // syncs the engine's counters; afterwards the engine is safe for direct
-// serial use again. Close is idempotent. Producers racing with Close get
-// runtime.ErrClosed from their offers; accepted elements are never lost.
+// serial use again. It is CloseCtx without a deadline. Producers racing
+// with Close get runtime.ErrClosed from their offers; accepted elements
+// are never lost.
 func (s *Serving) Close() runtime.Epoch {
-	ep := s.pl.Close()
-	s.syncRounds()
+	ep, _ := s.CloseCtx(context.Background())
 	return ep
 }
 
@@ -455,11 +401,18 @@ func (s *Serving) Close() runtime.Epoch {
 // runtime.ErrDrainTimeout and the ctx error; the drain keeps running in the
 // background, the engine's counters are NOT yet synced (the session is
 // still draining), and a later Close/CloseCtx waits for the same drain.
+// The first close that sees the drain complete syncs the engine's round
+// counter once; every close returns that drain's epoch and leaves the
+// counters alone afterwards, so serial use resumed after a close is never
+// rewound.
 func (s *Serving) CloseCtx(ctx context.Context) (runtime.Epoch, error) {
 	ep, err := s.pl.CloseCtx(ctx)
 	if err != nil {
 		return ep, err
 	}
-	s.syncRounds()
-	return ep, nil
+	s.closeOnce.Do(func() {
+		s.syncRounds()
+		s.closeEp = ep
+	})
+	return s.closeEp, nil
 }

@@ -306,6 +306,62 @@ func TestServingChaosQueriesNeverBlock(t *testing.T) {
 	}
 }
 
+// TestServingChaosNoShardReachable pins the degraded reads' floor: with
+// every shard lock held past QueryWait, all three covered reads return
+// rather than block or panic, report no shard included and every shard
+// stalled, answer from nothing (an empty sample), and draw nothing from
+// the caller's RNG.
+func TestServingChaosNoShardReachable(t *testing.T) {
+	eng := chaosEngine(1, RoundRobin{}, 5)
+	srv, err := eng.Serve(ServeConfig{QueryWait: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Producer(0).OfferBatch(servingStream(100, 42)); err != nil {
+		t.Fatal(err)
+	}
+	srv.Flush()
+	held, release := make(chan struct{}), make(chan struct{})
+	go srv.pl.WithShard(0, func() {
+		close(held)
+		<-release
+	})
+	<-held
+
+	unreached := func(name string, cov Coverage) {
+		t.Helper()
+		if cov.Included != 0 || cov.Covered != 0 || !reflect.DeepEqual(cov.Stalled, []int{0}) || cov.Routed != 100 {
+			t.Fatalf("%s with every shard held: coverage %+v, want none included, shard 0 stalled, 100 routed", name, cov)
+		}
+	}
+	d, cov := srv.VerdictCovered()
+	unreached("VerdictCovered", cov)
+	if d.Err != 0 {
+		t.Fatalf("VerdictCovered over no shard = %+v, want a zero verdict", d)
+	}
+	sample, cov := srv.SampleCovered()
+	unreached("SampleCovered", cov)
+	if len(sample) != 0 {
+		t.Fatalf("SampleCovered over no shard returned %d points", len(sample))
+	}
+	r := rng.New(11)
+	hi, lo := r.State()
+	global, cov := srv.GlobalSampleCovered(8, r)
+	unreached("GlobalSampleCovered", cov)
+	if len(global) != 0 {
+		t.Fatalf("GlobalSampleCovered over no shard returned %d points", len(global))
+	}
+	if hi2, lo2 := r.State(); hi2 != hi || lo2 != lo {
+		t.Fatal("GlobalSampleCovered over no shard drew from the coordinator RNG")
+	}
+
+	close(release)
+	if _, cov := srv.GlobalSampleCovered(8, r); !cov.Complete() {
+		t.Fatalf("coverage after the lock drops = %+v, want complete", cov)
+	}
+	srv.Close()
+}
+
 // TestServingChaosCloseCtxDeadline pins the serving-level drain deadline: a
 // consumer wedged in a long stall cannot hang CloseCtx past its context,
 // and the engine's counters are synced only once the drain really ends.

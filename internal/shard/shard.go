@@ -44,10 +44,11 @@ type Config struct {
 	// against. It is required unless NewSampler is nil (a routing-only
 	// engine, e.g. experiment E12's query-routing cluster).
 	System setsystem.SetSystem
-	// NewSampler builds shard i's sampler. It is called once per shard at
-	// engine construction; samplers are Reset (never rebuilt) on
-	// StartGame. nil gives a routing/recording-only engine with no
-	// samplers and no verdicts.
+	// NewSampler builds shard i's sampler, which must also implement
+	// game.BatchSampler and game.SampleDeltaReporter (New panics
+	// otherwise). It is called once per shard at engine construction;
+	// samplers are Reset (never rebuilt) on StartGame. nil gives a
+	// routing/recording-only engine with no samplers and no verdicts.
 	NewSampler func(shard int) game.Sampler
 	// Workers sizes the worker pool for parallel shard ingest: 0 uses all
 	// CPUs, 1 runs inline. Results are byte-identical for every value.
@@ -58,12 +59,20 @@ type Config struct {
 	RecordStreams bool
 }
 
+// shardSampler is what a shard needs of its sampler: bulk ingest, and the
+// per-offer sample delta that keeps the accumulator's sample side exact.
+// Reservoir, ReservoirL and Bernoulli — every sampler the repository
+// shards — provide both.
+type shardSampler interface {
+	game.Sampler
+	game.BatchSampler
+	game.SampleDeltaReporter
+}
+
 // shardState is one shard: a sampler fed from a private RNG stream plus the
 // incremental accumulator tracking (substream, local sample) exactly.
 type shardState struct {
-	sampler game.Sampler
-	batch   game.BatchSampler        // non-nil when the sampler supports bulk ingest
-	deltas  game.SampleDeltaReporter // non-nil when the sampler reports deltas
+	sampler shardSampler // nil on a routing-only engine
 	acc     *setsystem.Accumulator
 	rng     *rng.RNG
 	stream  []int64 // raw substream when Config.RecordStreams
@@ -105,9 +114,11 @@ func New(cfg Config, root *rng.RNG) *Engine {
 	for i := range e.shards {
 		sh := &shardState{}
 		if cfg.NewSampler != nil {
-			sh.sampler = cfg.NewSampler(i)
-			sh.batch, _ = sh.sampler.(game.BatchSampler)
-			sh.deltas, _ = sh.sampler.(game.SampleDeltaReporter)
+			smp, ok := cfg.NewSampler(i).(shardSampler)
+			if !ok {
+				panic("shard: samplers must implement OfferBatch and LastDelta")
+			}
+			sh.sampler = smp
 			sh.acc = cfg.System.NewAccumulator()
 		}
 		e.shards[i] = sh
@@ -189,14 +200,12 @@ func (e *Engine) offerTo(sh *shardState, x int64) bool {
 	}
 	admitted := sh.sampler.Offer(x, sh.rng)
 	sh.acc.AddStream(x)
-	if sh.deltas != nil {
-		added, removed := sh.deltas.LastDelta()
-		for _, a := range added {
-			sh.acc.AddSample(a)
-		}
-		for _, v := range removed {
-			sh.acc.RemoveSample(v)
-		}
+	added, removed := sh.sampler.LastDelta()
+	for _, a := range added {
+		sh.acc.AddSample(a)
+	}
+	for _, v := range removed {
+		sh.acc.RemoveSample(v)
 	}
 	return admitted
 }
@@ -247,30 +256,117 @@ func (e *Engine) flush(sh *shardState) int {
 }
 
 // applyShard is the single-shard ingest step shared by the serial batch
-// path and the serving pipeline's consumer goroutines: the bulk path
-// (game.IngestBatchSynced — the same batch-delta sync the batched
-// continuous game uses, fused pass included) when the sampler supports it,
-// the per-element path otherwise. It mutates only sh, so distinct shards
-// may be applied concurrently; results are invariant to how the shard's
-// routed substream is chunked across calls.
+// path and the serving pipeline's consumer goroutines: substream
+// bookkeeping, then the bulk path (game.IngestBatchSynced — the same
+// batch-delta sync the batched continuous game uses, fused pass included).
+// It mutates only sh, so distinct shards may be applied concurrently;
+// results are invariant to how the shard's routed substream is chunked
+// across calls.
 func (e *Engine) applyShard(sh *shardState, xs []int64) int {
-	if len(xs) == 0 {
-		return 0
-	}
-	if sh.sampler == nil || sh.batch == nil || sh.deltas == nil {
-		n := 0
-		for _, x := range xs {
-			if e.offerTo(sh, x) {
-				n++
-			}
-		}
-		return n
-	}
 	sh.rounds += len(xs)
 	if e.cfg.RecordStreams {
 		sh.stream = append(sh.stream, xs...)
 	}
-	return game.IngestBatchSynced(sh.batch, sh.deltas, sh.acc, xs, sh.rng)
+	if sh.sampler == nil || len(xs) == 0 {
+		return 0
+	}
+	return game.IngestBatchSynced(sh.sampler, sh.sampler, sh.acc, xs, sh.rng)
+}
+
+// walk is the one shard walk behind every merged read: it visits the
+// shards in order, runs fn on each shard it enters, and reports what it
+// covered. A serial engine (s == nil) enters every shard directly. A
+// serving session enters each shard under its lock — blocking, or for the
+// degraded reads (bounded) only if the lock frees within QueryWait,
+// skipping the shard otherwise.
+func (e *Engine) walk(s *Serving, bounded bool, fn func(sh *shardState)) Coverage {
+	cov := Coverage{Shards: len(e.shards)}
+	for i, sh := range e.shards {
+		visit := func() {
+			fn(sh)
+			cov.Covered += sh.rounds
+		}
+		switch {
+		case s == nil:
+			visit()
+		case !bounded:
+			s.pl.WithShard(i, visit)
+		case !s.pl.TryWithShard(i, s.queryWait, visit):
+			cov.Stalled = append(cov.Stalled, i)
+			continue
+		}
+		cov.Included++
+	}
+	if s != nil {
+		// Routed is read after the walk: producers keep offering while it
+		// runs, and a round is counted as offered before any shard applies
+		// it, so only a later read keeps Covered <= Routed.
+		cov.Routed = s.Rounds()
+	}
+	return cov
+}
+
+// verdict is Verdict over a walk: the exact discrepancy of the entered
+// shards' substreams against their samples, merged into e.global. A
+// serving session serializes it on its query lock (e.global is shared
+// scratch).
+func (e *Engine) verdict(s *Serving, bounded bool) (setsystem.Discrepancy, Coverage) {
+	if e.cfg.NewSampler == nil {
+		panic("shard: Verdict requires samplers (routing-only engine)")
+	}
+	if s != nil {
+		s.qmu.Lock()
+		defer s.qmu.Unlock()
+	}
+	if e.global == nil {
+		e.global = e.cfg.System.NewAccumulator()
+	}
+	e.global.Reset()
+	cov := e.walk(s, bounded, func(sh *shardState) { e.global.MergeFrom(sh.acc) })
+	return e.global.Max(), cov
+}
+
+// sample is Sample over a walk: the entered shards' samples appended to
+// out in shard order.
+func (e *Engine) sample(s *Serving, bounded bool, out []int64) ([]int64, Coverage) {
+	cov := e.walk(s, bounded, func(sh *shardState) {
+		if sh.sampler != nil {
+			out = append(out, sh.sampler.View()...)
+		}
+	})
+	return out, cov
+}
+
+// sampleLen is SampleLen over a walk.
+func (e *Engine) sampleLen(s *Serving) int {
+	n := 0
+	e.walk(s, false, func(sh *shardState) {
+		if sh.sampler != nil {
+			n += sh.sampler.Len()
+		}
+	})
+	return n
+}
+
+// globalSample is GlobalSample over a walk: a uniform size-k sample of the
+// entered shards' union substream from their samples alone. A serving
+// session copies each view behind the barrier, because consumers keep
+// applying once the lock drops; the merge runs outside every lock.
+func (e *Engine) globalSample(s *Serving, bounded bool, k int, r *rng.RNG) ([]int64, Coverage) {
+	if e.cfg.NewSampler == nil {
+		panic("shard: GlobalSample requires samplers (routing-only engine)")
+	}
+	views := make([][]int64, 0, len(e.shards))
+	pops := make([]int, 0, len(e.shards))
+	cov := e.walk(s, bounded, func(sh *shardState) {
+		view := sh.sampler.View()
+		if s != nil {
+			view = append([]int64(nil), view...)
+		}
+		views = append(views, view)
+		pops = append(pops, sh.rounds)
+	})
+	return MergeGlobalSample(views, pops, k, r), cov
 }
 
 // Verdict returns the exact global discrepancy of the union stream against
@@ -281,17 +377,8 @@ func (e *Engine) applyShard(sh *shardState, xs []int64) int {
 // System.MaxDiscrepancy on the concatenated stream and concatenated shard
 // samples, for every routing mode, shard count and worker count.
 func (e *Engine) Verdict() setsystem.Discrepancy {
-	if e.cfg.NewSampler == nil {
-		panic("shard: Verdict requires samplers (routing-only engine)")
-	}
-	if e.global == nil {
-		e.global = e.cfg.System.NewAccumulator()
-	}
-	e.global.Reset()
-	for _, sh := range e.shards {
-		e.withSampleSynced(sh, func() { e.global.MergeFrom(sh.acc) })
-	}
-	return e.global.Max()
+	d, _ := e.verdict(nil, false)
+	return d
 }
 
 // ShardVerdict returns shard i's local discrepancy: its substream against
@@ -303,27 +390,7 @@ func (e *Engine) ShardVerdict(i int) setsystem.Discrepancy {
 	if sh.sampler == nil {
 		panic("shard: ShardVerdict requires samplers (routing-only engine)")
 	}
-	var d setsystem.Discrepancy
-	e.withSampleSynced(sh, func() { d = sh.acc.Max() })
-	return d
-}
-
-// withSampleSynced runs fn with sh.acc's sample side guaranteed to match the
-// sampler. Delta-reporting samplers (all in-repo ones) are always in sync;
-// for foreign samplers the sample histogram is rebuilt from View around fn.
-func (e *Engine) withSampleSynced(sh *shardState, fn func()) {
-	if sh.deltas != nil {
-		fn()
-		return
-	}
-	view := sh.sampler.View()
-	for _, v := range view {
-		sh.acc.AddSample(v)
-	}
-	fn()
-	for _, v := range view {
-		sh.acc.RemoveSample(v)
-	}
+	return sh.acc.Max()
 }
 
 // SampleView returns the union of the per-shard samples, concatenated in
@@ -331,12 +398,7 @@ func (e *Engine) withSampleSynced(sh *shardState, fn func()) {
 // view of σ_i for the sharded game's Observation. Callers must not mutate or
 // retain it across engine operations.
 func (e *Engine) SampleView() []int64 {
-	e.unionBuf = e.unionBuf[:0]
-	for _, sh := range e.shards {
-		if sh.sampler != nil {
-			e.unionBuf = append(e.unionBuf, sh.sampler.View()...)
-		}
-	}
+	e.unionBuf, _ = e.sample(nil, false, e.unionBuf[:0])
 	return e.unionBuf
 }
 
@@ -347,15 +409,7 @@ func (e *Engine) Sample() []int64 {
 }
 
 // SampleLen returns the union sample size.
-func (e *Engine) SampleLen() int {
-	n := 0
-	for _, sh := range e.shards {
-		if sh.sampler != nil {
-			n += sh.sampler.Len()
-		}
-	}
-	return n
-}
+func (e *Engine) SampleLen() int { return e.sampleLen(nil) }
 
 // ShardRounds returns the length of shard i's substream.
 func (e *Engine) ShardRounds(i int) int { return e.shards[i].rounds }
@@ -385,26 +439,21 @@ func (e *Engine) Substream(i int) []int64 {
 // the shards' sampling streams. If the shards cannot supply k elements the
 // result is clamped.
 func (e *Engine) GlobalSample(k int, r *rng.RNG) []int64 {
-	if e.cfg.NewSampler == nil {
-		panic("shard: GlobalSample requires samplers (routing-only engine)")
-	}
-	views := make([][]int64, len(e.shards))
-	pops := make([]int, len(e.shards))
-	for i, sh := range e.shards {
-		views[i] = sh.sampler.View()
-		pops[i] = sh.rounds
-	}
-	return MergeGlobalSample(views, pops, k, r)
+	out, _ := e.globalSample(nil, false, k, r)
+	return out
 }
 
 // MergeGlobalSample is the coordinator fan-in step of GlobalSample over
 // explicit per-shard (sample view, substream length) pairs: a uniform
 // without-replacement size-k sample of the union stream, clamped to the
-// available elements. The serving runtime calls it on copies taken behind
-// its read barriers, so the merge itself runs outside any shard lock. The
-// first view is consumed as the running merge's seed and must be mutable
-// (pass a copy of a live sampler view).
+// available elements. It never mutates the views (the running merge starts
+// from a copy of the first, and MergeSamples only reads its inputs). With
+// no views — a degraded read that reached no shard — it returns an empty
+// sample and draws nothing from r.
 func MergeGlobalSample(views [][]int64, pops []int, k int, r *rng.RNG) []int64 {
+	if len(views) == 0 {
+		return nil
+	}
 	merged := append([]int64(nil), views[0]...)
 	pop := pops[0]
 	for i := 1; i < len(views); i++ {

@@ -345,7 +345,25 @@ func TestRoutingOnlyEngine(t *testing.T) {
 	}
 }
 
+// TestConfigValidation pins New's construction panics: no shards, samplers
+// without a set system, and samplers lacking the bulk ingest (OfferBatch)
+// or the sample delta (LastDelta) every shard applies through.
 func TestConfigValidation(t *testing.T) {
+	withSampler := func(mk func() game.Sampler) func() {
+		return func() {
+			New(Config{Shards: 2, System: setsystem.NewPrefixes(64), NewSampler: func(int) game.Sampler {
+				return mk()
+			}}, rng.New(1))
+		}
+	}
+	type noBatch struct {
+		game.Sampler
+		game.SampleDeltaReporter
+	}
+	type noDelta struct {
+		game.Sampler
+		game.BatchSampler
+	}
 	for _, f := range []func(){
 		func() { New(Config{Shards: 0}, rng.New(1)) },
 		func() {
@@ -353,6 +371,14 @@ func TestConfigValidation(t *testing.T) {
 				return sampler.NewReservoir[int64](4)
 			}}, rng.New(1))
 		},
+		withSampler(func() game.Sampler {
+			r := sampler.NewReservoir[int64](4)
+			return noBatch{r, r}
+		}),
+		withSampler(func() game.Sampler {
+			r := sampler.NewReservoir[int64](4)
+			return noDelta{r, r}
+		}),
 	} {
 		func() {
 			defer func() {

@@ -9,11 +9,7 @@
 // counters.
 package shard
 
-import (
-	"context"
-
-	ishard "robustsample/internal/shard"
-)
+import ishard "robustsample/internal/shard"
 
 // ShardStatus is one shard's recovery state: Healthy, or Degraded while
 // the shard has been restored from its latest checkpoint but has not yet
@@ -64,20 +60,14 @@ func (s *Serving[T]) VerdictCovered() (Verdict[T], Coverage, error) {
 // the shards reachable within QueryWait, with the coverage report.
 func (s *Serving[T]) SampleCovered() ([]T, Coverage, error) {
 	ps, cov := s.inner.SampleCovered()
-	out := make([]T, len(ps))
-	for i, p := range ps {
-		x, err := s.e.u.Decode(p)
-		if err != nil {
-			return nil, cov, err
-		}
-		out[i] = x
-	}
-	return out, cov, nil
+	out, err := s.e.decode(ps)
+	return out, cov, err
 }
 
 // GlobalSampleCovered is GlobalSample with graceful degradation: a uniform
 // size-k sample of the union of the covered substreams ([CTW16] fan-in
-// over the healthy subset), with the coverage report.
+// over the healthy subset), with the coverage report. When no shard
+// answers within QueryWait the sample is empty.
 func (s *Serving[T]) GlobalSampleCovered(k int) ([]T, Coverage, error) {
 	if k < 1 {
 		return nil, Coverage{}, ErrBadSample
@@ -85,32 +75,6 @@ func (s *Serving[T]) GlobalSampleCovered(k int) ([]T, Coverage, error) {
 	s.qmu.Lock()
 	ps, cov := s.inner.GlobalSampleCovered(k, s.e.coordRNG)
 	s.qmu.Unlock()
-	out := make([]T, len(ps))
-	for i, p := range ps {
-		x, err := s.e.u.Decode(p)
-		if err != nil {
-			return nil, cov, err
-		}
-		out[i] = x
-	}
-	return out, cov, nil
-}
-
-// CloseContext is Close with a drain deadline: it starts the shutdown
-// drain and waits for it until ctx is done. On timeout it returns an error
-// matching both ErrDrainTimeout and the ctx error; the drain keeps running
-// in the background — the session is NOT closed, and a later Close or
-// CloseContext waits for the same drain. Producers wedged on a full ring
-// unblock as consumers keep applying.
-func (s *Serving[T]) CloseContext(ctx context.Context) (Epoch, error) {
-	ep, err := s.inner.CloseCtx(ctx)
-	if err != nil {
-		return ep, err
-	}
-	s.once.Do(func() {
-		s.closeEp = ep
-		s.e.srv.Store(nil)
-		close(s.done)
-	})
-	return s.closeEp, nil
+	out, err := s.e.decode(ps)
+	return out, cov, err
 }

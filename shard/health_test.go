@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -237,6 +238,167 @@ func TestServeCloseContext(t *testing.T) {
 	}
 	if got := e.Rounds(); got != 310 {
 		t.Fatalf("rounds = %d, want 310", got)
+	}
+}
+
+// TestServeCloseFiresOnEpochOnce pins the close half of OnEpoch's promise
+// (the final drain of the first close to complete): whichever path closes
+// the session — Close, CloseContext, a cancelled Serve ctx, or all three
+// at once — OnEpoch fires exactly once with the drain epoch, and every
+// close, including later ones and ones whose ctx has expired, returns that
+// epoch.
+func TestServeCloseFiresOnEpochOnce(t *testing.T) {
+	u := servingUniverse(t)
+	for _, path := range []string{"Close", "CloseContext", "cancel", "concurrent"} {
+		t.Run(path, func(t *testing.T) {
+			var mu sync.Mutex
+			var fired []shard.Epoch
+			e, err := shard.New(u, shard.WithShards(2), shard.WithReservoir(8), shard.WithWorkers(1),
+				shard.WithPipeline(shard.PipelineConfig{OnEpoch: func(ep shard.Epoch) {
+					mu.Lock()
+					fired = append(fired, ep)
+					mu.Unlock()
+				}}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			srv, err := e.Serve(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pr, _ := srv.Producer(0)
+			if err := pr.OfferBatch(servingValues(300)); err != nil {
+				t.Fatal(err)
+			}
+			closeContext := func() shard.Epoch {
+				ep, err := srv.CloseContext(context.Background())
+				if err != nil {
+					t.Errorf("CloseContext: %v", err)
+				}
+				return ep
+			}
+			var returned []shard.Epoch
+			switch path {
+			case "Close":
+				returned = append(returned, srv.Close())
+			case "CloseContext":
+				returned = append(returned, closeContext())
+			case "cancel":
+				cancel()
+				// The watcher closes asynchronously; OnEpoch marks its end.
+				for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) { //robust:nondet wall-clock wait for the async close; never reaches sampler state
+					mu.Lock()
+					n := len(fired)
+					mu.Unlock()
+					if n > 0 {
+						break
+					}
+					if time.Now().After(deadline) { //robust:nondet wall-clock wait for the async close; never reaches sampler state
+						t.Fatal("the cancelled session never fired OnEpoch")
+					}
+				}
+			case "concurrent":
+				var wg sync.WaitGroup
+				eps := make([]shard.Epoch, 2)
+				wg.Add(3)
+				go func() { defer wg.Done(); eps[0] = srv.Close() }()
+				go func() { defer wg.Done(); eps[1] = closeContext() }()
+				go func() { defer wg.Done(); cancel() }()
+				wg.Wait()
+				returned = append(returned, eps...)
+			}
+			returned = append(returned, srv.Close(), closeContext())
+			// A completed drain wins over an expired ctx: later closes with
+			// one still succeed and return the drain epoch.
+			done, stop := context.WithCancel(context.Background())
+			stop()
+			for range 8 {
+				ep, err := srv.CloseContext(done)
+				if err != nil {
+					t.Fatalf("CloseContext with an expired ctx after the drain: %v", err)
+				}
+				returned = append(returned, ep)
+			}
+
+			mu.Lock()
+			got := slices.Clone(fired)
+			mu.Unlock()
+			if len(got) != 1 {
+				t.Fatalf("OnEpoch fired %d times on close, want exactly once: %+v", len(got), got)
+			}
+			if got[0].Applied != 300 {
+				t.Fatalf("OnEpoch drain epoch applied %d, want 300", got[0].Applied)
+			}
+			for i, ep := range returned {
+				if ep != got[0] {
+					t.Fatalf("close %d returned %+v, want the drain epoch %+v", i, ep, got[0])
+				}
+			}
+		})
+	}
+}
+
+// TestServeRepeatedCloseKeepsCounters pins that only the first completed
+// drain syncs the engine's counters: a session closed by Close, or by
+// CloseContext racing a cancelled Serve ctx, then used serially, then
+// closed again by either path must keep the serial rounds — Rounds and
+// the per-shard rounds both sum to everything ingested.
+func TestServeRepeatedCloseKeepsCounters(t *testing.T) {
+	u := servingUniverse(t)
+	for _, first := range []string{"Close", "concurrent"} {
+		for _, second := range []string{"Close", "CloseContext"} {
+			t.Run(first+"/"+second, func(t *testing.T) {
+				e, err := shard.New(u, shard.WithShards(3), shard.WithReservoir(8), shard.WithWorkers(1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				srv, err := e.Serve(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pr, _ := srv.Producer(0)
+				if err := pr.OfferBatch(servingValues(300)); err != nil {
+					t.Fatal(err)
+				}
+				if first == "Close" {
+					srv.Close()
+				} else {
+					var wg sync.WaitGroup
+					wg.Add(2)
+					go func() { defer wg.Done(); cancel() }()
+					go func() {
+						defer wg.Done()
+						if _, err := srv.CloseContext(context.Background()); err != nil {
+							t.Errorf("CloseContext: %v", err)
+						}
+					}()
+					wg.Wait()
+				}
+				if _, err := e.OfferBatch(servingValues(10)); err != nil {
+					t.Fatalf("serial OfferBatch after close: %v", err)
+				}
+				if second == "Close" {
+					srv.Close()
+				} else if _, err := srv.CloseContext(context.Background()); err != nil {
+					t.Fatalf("second CloseContext: %v", err)
+				}
+				sum := 0
+				for i := range e.NumShards() {
+					n, err := e.ShardRounds(i)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sum += n
+				}
+				if got := e.Rounds(); got != 310 || sum != 310 {
+					t.Fatalf("after the second close Rounds = %d and shard rounds sum to %d, want 310 and 310", got, sum)
+				}
+			})
+		}
 	}
 }
 

@@ -57,16 +57,21 @@ type PipelineConfig struct {
 	// lost rounds); <= 0 selects 2. Only meaningful with supervision.
 	RetryLimit int
 	// QueryWait bounds how long the degraded reads (VerdictCovered,
-	// SampleCovered, GlobalSampleCovered) wait per shard lock before
-	// skipping the shard; <= 0 selects 5ms.
+	// SampleCovered, GlobalSampleCovered) wait for each shard's lock
+	// before skipping that shard, so a read with k wedged shards returns
+	// within about k×QueryWait; <= 0 selects 5ms. The blocking reads
+	// (Verdict, Sample, GlobalSample) walk the shards the same way but
+	// wait for every lock.
 	QueryWait time.Duration
 	// OnEpoch, when non-nil, is invoked synchronously with the completed
 	// epoch after every epoch-stamped barrier the session takes: each
-	// Flush, each Snapshot freeze, and the final drain of the first Close.
-	// It runs on the barrier caller's goroutine and must be safe for
-	// concurrent use when barriers are taken concurrently. Meta-sketches
-	// layered above the engine use it to drive rotation from the serving
-	// runtime — see robustsample/switching's Rotator.
+	// Flush, each Snapshot freeze, and — once — the final drain of the
+	// first close to complete, whether by Close, CloseContext or a
+	// cancelled Serve ctx. It runs on the barrier caller's goroutine and
+	// must be safe for concurrent use when barriers are taken
+	// concurrently. Meta-sketches layered above the engine use it to drive
+	// rotation from the serving runtime — see robustsample/switching's
+	// Rotator.
 	OnEpoch func(Epoch)
 }
 
@@ -101,8 +106,7 @@ type Serving[T any] struct {
 	onEpoch func(Epoch)
 	qmu     sync.Mutex // guards coordRNG for GlobalSample and Snapshot
 	done    chan struct{}
-	once    sync.Once
-	closeEp Epoch
+	once    sync.Once // the first completed close releases the engine and fires OnEpoch
 }
 
 // Producer is one ingest lane of a Serving session, owned by one goroutine
@@ -189,20 +193,17 @@ func mapServeErr(err error) error {
 }
 
 // Offer submits one element on this lane, blocking under backpressure
-// until accepted. After the session closes it reports ErrServingClosed.
+// until accepted: OfferContext without a deadline. After the session
+// closes it reports ErrServingClosed.
 func (p *Producer[T]) Offer(x T) error {
-	v, err := p.s.e.u.Encode(x)
-	if err != nil {
-		return err
-	}
-	return mapServeErr(p.inner.Offer(v))
+	return p.OfferContext(context.Background(), x)
 }
 
 // OfferContext is Offer with bounded waiting: if the element cannot be
 // accepted before ctx is done (consumers not keeping up), it gives up and
 // returns an error matching both ErrBackpressure and the ctx error.
-// Backpressure waits use jittered exponential backoff, so stalled lanes do
-// not spin.
+// Backpressure waits are Offer's — cooperative yields, then short sleeps —
+// with ctx checked between waits.
 func (p *Producer[T]) OfferContext(ctx context.Context, x T) error {
 	v, err := p.s.e.u.Encode(x)
 	if err != nil {
@@ -211,15 +212,13 @@ func (p *Producer[T]) OfferContext(ctx context.Context, x T) error {
 	return mapServeErr(p.inner.OfferCtx(ctx, v))
 }
 
-// OfferBatch submits a run of consecutive elements on this lane. The batch
-// is atomic against encoding errors: if any element is outside the
-// universe, nothing is submitted.
+// OfferBatch submits a run of consecutive elements on this lane:
+// OfferBatchContext without a deadline. The batch is atomic against
+// encoding errors: if any element is outside the universe, nothing is
+// submitted.
 func (p *Producer[T]) OfferBatch(xs []T) error {
-	buf, err := p.encode(xs)
-	if err != nil {
-		return err
-	}
-	return mapServeErr(p.inner.OfferBatch(buf))
+	_, err := p.OfferBatchContext(context.Background(), xs)
+	return err
 }
 
 // OfferBatchContext is OfferBatch with bounded waiting: it submits as much
@@ -228,25 +227,13 @@ func (p *Producer[T]) OfferBatch(xs []T) error {
 // and the ctx error if it could not finish. Encoding errors are still
 // atomic: if any element is outside the universe, nothing is submitted.
 func (p *Producer[T]) OfferBatchContext(ctx context.Context, xs []T) (int, error) {
-	buf, err := p.encode(xs)
+	buf, err := p.s.e.encode(p.buf[:0], xs)
 	if err != nil {
 		return 0, err
 	}
+	p.buf = buf
 	n, err := p.inner.OfferBatchCtx(ctx, buf)
 	return n, mapServeErr(err)
-}
-
-func (p *Producer[T]) encode(xs []T) ([]int64, error) {
-	buf := p.buf[:0]
-	for _, x := range xs {
-		v, err := p.s.e.u.Encode(x)
-		if err != nil {
-			return nil, err
-		}
-		buf = append(buf, v)
-	}
-	p.buf = buf
-	return buf, nil
 }
 
 // Close marks the lane done. In deterministic mode this removes it from
@@ -301,21 +288,9 @@ func (s *Serving[T]) ShardVerdict(i int) (Verdict[T], error) {
 }
 
 // Sample returns a copy of the union sample, decoded, each shard read
-// behind its barrier.
-//
-//robust:panics retained points were validated on admission; an undecodable point is internal corruption, not caller error
-func (s *Serving[T]) Sample() []T {
-	ps := s.inner.Sample()
-	out := make([]T, len(ps))
-	for i, p := range ps {
-		x, err := s.e.u.Decode(p)
-		if err != nil {
-			panic(fmt.Sprintf("shard: sample holds undecodable point %d: %v", p, err))
-		}
-		out[i] = x
-	}
-	return out
-}
+// behind its barrier. Retained points were validated on admission, so an
+// undecodable one is internal corruption and panics.
+func (s *Serving[T]) Sample() []T { return s.e.mustDecode(s.inner.Sample()) }
 
 // SampleLen returns the union sample size.
 func (s *Serving[T]) SampleLen() int { return s.inner.SampleLen() }
@@ -331,15 +306,7 @@ func (s *Serving[T]) GlobalSample(k int) ([]T, error) {
 	s.qmu.Lock()
 	ps := s.inner.GlobalSample(k, s.e.coordRNG)
 	s.qmu.Unlock()
-	out := make([]T, len(ps))
-	for i, p := range ps {
-		x, err := s.e.u.Decode(p)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = x
-	}
-	return out, nil
+	return s.e.decode(ps)
 }
 
 // Snapshot serializes the engine under a freeze: a single
@@ -362,14 +329,31 @@ func (s *Serving[T]) Snapshot() ([]byte, error) {
 }
 
 // Close drains everything offered, stops the pipeline, and returns the
-// engine to serial use. It is idempotent; the drain epoch of the first
-// close is returned every time.
+// engine to serial use: CloseContext without a deadline. It is
+// idempotent; the drain epoch of the first close is returned every time.
 func (s *Serving[T]) Close() Epoch {
+	ep, _ := s.CloseContext(context.Background())
+	return ep
+}
+
+// CloseContext is Close with a drain deadline: it starts the shutdown
+// drain and waits for it until ctx is done. On timeout it returns an error
+// matching both ErrDrainTimeout and the ctx error; the drain keeps running
+// in the background — the session is NOT closed, and a later Close or
+// CloseContext waits for the same drain. Producers wedged on a full ring
+// unblock as consumers keep applying. The first close to complete releases
+// the engine to serial use and fires OnEpoch with the drain epoch; every
+// close, whichever path and however many run concurrently, returns that
+// epoch.
+func (s *Serving[T]) CloseContext(ctx context.Context) (Epoch, error) {
+	ep, err := s.inner.CloseCtx(ctx)
+	if err != nil {
+		return ep, err
+	}
 	s.once.Do(func() {
-		s.closeEp = s.inner.Close()
 		s.e.srv.Store(nil)
 		close(s.done)
-		s.notifyEpoch(s.closeEp)
+		s.notifyEpoch(ep)
 	})
-	return s.closeEp
+	return ep, nil
 }

@@ -430,16 +430,50 @@ func (e *Engine[T]) OfferBatch(xs []T) (int, error) {
 	if e.srv.Load() != nil {
 		return 0, ErrServing
 	}
-	buf := e.encBuf[:0]
-	for _, x := range xs {
-		p, err := e.u.Encode(x)
-		if err != nil {
-			return 0, err
-		}
-		buf = append(buf, p)
+	buf, err := e.encode(e.encBuf[:0], xs)
+	if err != nil {
+		return 0, err
 	}
 	e.encBuf = buf
 	return e.inner.OfferBatch(buf), nil
+}
+
+// encode appends the encoded xs to buf, failing on the first element
+// outside the universe (callers then submit nothing).
+func (e *Engine[T]) encode(buf []int64, xs []T) ([]int64, error) {
+	for _, x := range xs {
+		p, err := e.u.Encode(x)
+		if err != nil {
+			return nil, err
+		}
+		buf = append(buf, p)
+	}
+	return buf, nil
+}
+
+// decode maps encoded sample points back to elements: the one decode loop
+// behind every sample read.
+func (e *Engine[T]) decode(ps []int64) ([]T, error) {
+	out := make([]T, len(ps))
+	for i, p := range ps {
+		x, err := e.u.Decode(p)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = x
+	}
+	return out, nil
+}
+
+// mustDecode is decode for the reads that return no error: retained points
+// were validated on admission, so an undecodable one is internal
+// corruption, not caller error.
+func (e *Engine[T]) mustDecode(ps []int64) []T {
+	out, err := e.decode(ps)
+	if err != nil {
+		panic(fmt.Sprintf("shard: sample holds an undecodable point: %v", err))
+	}
+	return out
 }
 
 // decodeVerdict maps an internal discrepancy to the decoded form.
@@ -487,25 +521,14 @@ func (e *Engine[T]) ShardVerdict(i int) (Verdict[T], error) {
 }
 
 // Sample returns the union of the per-shard samples, decoded, in shard
-// order (behind the session's read barriers while serving).
-//
-//robust:panics retained points were validated on admission; an undecodable point is internal corruption, not caller error
+// order (behind the session's read barriers while serving). Retained
+// points were validated on admission, so an undecodable one is internal
+// corruption and panics.
 func (e *Engine[T]) Sample() []T {
-	var ps []int64
 	if s := e.srv.Load(); s != nil {
-		ps = s.inner.Sample()
-	} else {
-		ps = e.inner.SampleView()
+		return s.Sample()
 	}
-	out := make([]T, len(ps))
-	for i, p := range ps {
-		x, err := e.u.Decode(p)
-		if err != nil {
-			panic(fmt.Sprintf("shard: sample holds undecodable point %d: %v", p, err))
-		}
-		out[i] = x
-	}
-	return out
+	return e.mustDecode(e.inner.SampleView())
 }
 
 // SampleLen returns the union sample size.
@@ -601,16 +624,7 @@ func (e *Engine[T]) GlobalSample(k int) ([]T, error) {
 	if k < 1 {
 		return nil, ErrBadSample
 	}
-	ps := e.inner.GlobalSample(k, e.coordRNG)
-	out := make([]T, len(ps))
-	for i, p := range ps {
-		x, err := e.u.Decode(p)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = x
-	}
-	return out, nil
+	return e.decode(e.inner.GlobalSample(k, e.coordRNG))
 }
 
 // Reset clears the engine for a fresh stream and re-derives its RNG tree
