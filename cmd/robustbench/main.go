@@ -51,7 +51,7 @@ func main() {
 		trials     = flag.Int("trials", bench.DefaultConfig().Trials, "trials per table row")
 		scale      = flag.Float64("scale", bench.DefaultConfig().Scale, "stream-length scale factor")
 		workers    = flag.Int("workers", 0, "Monte-Carlo worker pool size (0 = all CPUs, 1 = serial)")
-		chunk      = flag.Int("chunk", game.SpanChunkCap, "batch-ingest chunk size for non-adaptive games (tables are identical for every value)")
+		chunk      = flag.Int("chunk", game.SpanChunkCap, "batch-ingest chunk size for non-adaptive games, at least 1 (tables are identical for every value)")
 		shards     = flag.Int("shards", 0, "shard count for the sharded experiment E18 (0 = sweep 1/2/4/8)")
 		producers  = flag.String("producers", "", "comma-separated producer-lane counts for the concurrent serving experiment E19, one measured point each (empty = sweep 1,2,4,8,16,32)")
 		faultSpec  = flag.String("faults", "", "fault-plan spec for the self-healing experiment E20, e.g. \"seed=1,crash=0.01,stall=0.005@2ms,corrupt=0.005\" (empty = sweep the default crash-rate ladder)")
@@ -63,9 +63,11 @@ func main() {
 	)
 	flag.Parse()
 
-	if *chunk > 0 {
-		game.SpanChunkCap = *chunk
+	if err := checkChunk(*chunk); err != nil {
+		fmt.Fprintf(os.Stderr, "robustbench: -chunk: %v\n", err)
+		os.Exit(2)
 	}
+	game.SpanChunkCap = *chunk
 	lanes, err := parseIntList(*producers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "robustbench: -producers: %v\n", err)
@@ -158,6 +160,16 @@ func parseIntList(s string) ([]int, error) {
 		out = append(out, v)
 	}
 	return out, nil
+}
+
+// checkChunk rejects a -chunk below 1. The games would clamp such a value,
+// so the -json records, which carry the flag, would name a chunk the games
+// did not run at.
+func checkChunk(chunk int) error {
+	if chunk < 1 {
+		return fmt.Errorf("chunk %d out of range", chunk)
+	}
+	return nil
 }
 
 // emitJSON measures the selected experiments once more under cfg and

@@ -102,29 +102,22 @@ func (o *orderTracker) ranks() map[int]int64 {
 // RunExactBisectionFunc plays the Figure-3 attack for n rounds over an
 // unbounded ordered universe against an arbitrary admission process: admit
 // is called once per round (1-based) and reports whether that round's
-// element entered the sample. This generalizes the attack to any
-// Bernoulli-like admission channel — e.g. "was this query routed to server
-// 0?" in the distributed-database experiment.
+// element entered the sample, which keeps every admitted element. This
+// generalizes the attack to any Bernoulli-like admission channel — e.g.
+// "was this query routed to server 0?" in the distributed-database
+// experiment.
 func RunExactBisectionFunc(n int, admit func(round int) bool) AttackResult {
-	if n < 1 {
-		panic("adversary: attack needs n >= 1")
-	}
 	if admit == nil {
 		panic("adversary: attack needs an admission function")
 	}
-	o := newOrderTracker()
-	admitted := make([]bool, n+1)
-	total := 0
-	for i := 1; i <= n; i++ {
-		nd := o.submit(i)
-		adm := admit(i)
-		admitted[i] = adm
-		if adm {
-			total++
+	var kept []int
+	return RunExactBisectionSampler(n, func(round int) bool {
+		if !admit(round) {
+			return false
 		}
-		o.feedback(nd, adm)
-	}
-	return assembleAttack(o, admitted, nil, total)
+		kept = append(kept, round)
+		return true
+	}, func() []int { return kept })
 }
 
 // RunExactBisectionBernoulli plays the Figure-3 attack against
@@ -176,9 +169,8 @@ func RunExactBisectionReservoir(n, k int, r *rng.RNG) AttackResult {
 		func() []int { return res.View() })
 }
 
-// assembleAttack relabels rounds to ranks and packages the result. For
-// Bernoulli, finalRounds is nil and the sample is every admitted round; for
-// the reservoir it is the rounds surviving in the reservoir.
+// assembleAttack relabels rounds to ranks and packages the result; the
+// sample is the rounds in finalRounds, in that order.
 func assembleAttack(o *orderTracker, admitted []bool, finalRounds []int, total int) AttackResult {
 	rank := o.ranks()
 	n := o.count
@@ -187,16 +179,8 @@ func assembleAttack(o *orderTracker, admitted []bool, finalRounds []int, total i
 		stream[i-1] = rank[i]
 	}
 	var sample []int64
-	if finalRounds == nil {
-		for i := 1; i <= n; i++ {
-			if admitted[i] {
-				sample = append(sample, rank[i])
-			}
-		}
-	} else {
-		for _, round := range finalRounds {
-			sample = append(sample, rank[round])
-		}
+	for _, round := range finalRounds {
+		sample = append(sample, rank[round])
 	}
 
 	// Claim 5.2 invariant: every admitted element is smaller than every

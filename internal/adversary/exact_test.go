@@ -2,6 +2,7 @@ package adversary
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"robustsample/internal/rng"
@@ -148,6 +149,40 @@ func TestExactAttackDeterministic(t *testing.T) {
 	for i := range a.Stream {
 		if a.Stream[i] != b.Stream[i] {
 			t.Fatal("attack not deterministic under fixed seed")
+		}
+	}
+}
+
+// TestExactBisectionFuncIsSamplerOverAdmittedRounds: the attack on an
+// admission channel (RunExactBisectionFunc, here a Bernoulli(p) channel) is
+// the attack on a sampler driven by the same draws whose final sample is
+// every admitted round, in order.
+func TestExactBisectionFuncIsSamplerOverAdmittedRounds(t *testing.T) {
+	const n = 2000
+	for _, p := range []float64{0, 0.01, 0.2, 1} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			r := rng.New(seed)
+			draws := make([]bool, n+1)
+			for i := 1; i <= n; i++ {
+				draws[i] = r.Bernoulli(p)
+			}
+			want := RunExactBisectionSampler(n, func(round int) bool { return draws[round] }, func() []int {
+				var rounds []int
+				for i := 1; i <= n; i++ {
+					if draws[i] {
+						rounds = append(rounds, i)
+					}
+				}
+				return rounds
+			})
+			r = rng.New(seed)
+			got := RunExactBisectionFunc(n, func(int) bool { return r.Bernoulli(p) })
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("p=%v seed %d: Func attack differs from the Sampler attack over the admitted rounds", p, seed)
+			}
+			if got.TotalAdmitted != len(got.Sample) {
+				t.Fatalf("p=%v seed %d: %d admitted but %d sampled", p, seed, got.TotalAdmitted, len(got.Sample))
+			}
 		}
 	}
 }

@@ -87,18 +87,13 @@ func (c Config) trials() int {
 }
 
 // forEachTrial runs fn(trial, r) for each trial on the configured worker
-// pool, with per-trial RNGs pre-split sequentially from root so the results
-// are identical to the historical serial loop `r := root.Split(); fn(...)`.
-// fn must write its outputs to per-trial storage; callers reduce in trial
-// order afterwards.
+// pool, with per-trial RNGs pre-split sequentially from root
+// (core.ForEachSplitTrial) so the results are identical to the historical
+// serial loop `r := root.Split(); fn(...)`. fn must write its outputs to
+// per-trial storage; callers reduce in trial order afterwards.
 func (c Config) forEachTrial(root *rng.RNG, fn func(trial int, r *rng.RNG)) {
-	trials := c.trials()
-	rngs := make([]*rng.RNG, trials)
-	for i := range rngs {
-		rngs[i] = root.Split()
-	}
-	core.ForEachTrial(trials, c.Workers, func(trial int) {
-		fn(trial, rngs[trial])
+	core.ForEachSplitTrial(c.trials(), c.Workers, root, func(_, trial int, r *rng.RNG) {
+		fn(trial, r)
 	})
 }
 

@@ -602,8 +602,7 @@ func ExpE16(cfg Config) *Table {
 		// Continuous arm: the weighted reservoir plays a full
 		// ContinuousAdaptiveGame, its per-checkpoint exact verdicts served
 		// by the incremental accumulator through the sampler's LastDelta
-		// (root displacements reported as evictions) — the O(1) sync path,
-		// not the per-checkpoint View-rebuild fallback. The reported
+		// (root displacements reported as evictions). The reported
 		// number is the mean maximal prefix error: weight-skewed samples
 		// are intentionally non-uniform. A dedicated root keeps the
 		// static/adaptive rows on their historical RNG stream.
@@ -633,8 +632,7 @@ func ExpE16(cfg Config) *Table {
 }
 
 // weightedGameSampler adapts the weighted reservoir to the game.Sampler
-// interface with a value-dependent weight rule; forwarding LastDelta keeps
-// RunContinuous on the incremental accumulator path.
+// interface with a value-dependent weight rule.
 type weightedGameSampler struct {
 	inner  *sampler.WeightedReservoir[int64]
 	weight func(x int64) float64

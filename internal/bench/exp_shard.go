@@ -58,13 +58,8 @@ func ExpE18(cfg Config) *Table {
 			kShard := max(kTotal/S, 1)
 			fails := make([]bool, cfg.trials())
 			errs := make([]float64, cfg.trials())
-			workers := core.WorkerCount(cfg.trials(), cfg.Workers)
-			engines := make([]*shard.Engine, workers)
-			rngs := make([]*rng.RNG, cfg.trials())
-			for i := range rngs {
-				rngs[i] = root.Split()
-			}
-			core.ForEachTrialOnWorker(cfg.trials(), cfg.Workers, func(worker, trial int) {
+			engines := make([]*shard.Engine, core.WorkerCount(cfg.trials(), cfg.Workers))
+			core.ForEachSplitTrial(cfg.trials(), cfg.Workers, root, func(worker, trial int, r *rng.RNG) {
 				eng := engines[worker]
 				if eng == nil {
 					// Shard ingest stays serial inside each engine: the
@@ -80,7 +75,7 @@ func ExpE18(cfg Config) *Table {
 					}, nil)
 					engines[worker] = eng
 				}
-				res := game.RunSharded(eng, adversary.NewStaticUniform(expUniverse), n, eps, cps, rngs[trial])
+				res := game.RunSharded(eng, adversary.NewStaticUniform(expUniverse), n, eps, cps, r)
 				fails[trial] = !res.OK
 				errs[trial] = res.MaxPrefixErr
 			})

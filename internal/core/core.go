@@ -227,76 +227,48 @@ type AdversaryFactory func() game.Adversary
 // per trial, so results are deterministic given the root. Trials run on a
 // worker pool: workers <= 0 selects runtime.GOMAXPROCS(0), workers == 1
 // forces a serial loop. The per-trial RNGs are split sequentially from root
-// before the fan-out, so the estimate is byte-identical for every worker
-// count.
+// before the fan-out (ForEachSplitTrial), so the estimate is byte-identical
+// for every worker count.
 // The factories are invoked once per worker (each game fully Resets the
 // players, so reuse across a worker's trials changes nothing) from worker
 // goroutines, and must be safe for concurrent calls; plain constructor
 // closures, like every factory in this repository, are.
 func EstimateRobustnessWorkers(mkSampler SamplerFactory, mkAdv AdversaryFactory, sys setsystem.SetSystem, p Params, trials, workers int, root *rng.RNG) RobustnessEstimate {
 	p.validate()
-	if trials < 1 {
-		panic("core: trials must be >= 1")
-	}
-	rngs := make([]*rng.RNG, trials)
-	for i := range rngs {
-		rngs[i] = root.Split()
-	}
-	errs := make([]float64, trials)
-	failed := make([]bool, trials)
-	samplers := make([]game.Sampler, WorkerCount(trials, workers))
-	advs := make([]game.Adversary, len(samplers))
-	ForEachTrialOnWorker(trials, workers, func(worker, trial int) {
-		if samplers[worker] == nil {
-			samplers[worker] = mkSampler()
-			advs[worker] = mkAdv()
-		}
-		res := game.Run(samplers[worker], advs[worker], sys, p.N, p.Eps, rngs[trial])
-		failed[trial] = !res.OK
-		errs[trial] = res.Discrepancy.Err
-	})
-	failures := 0
-	for _, f := range failed {
-		if f {
-			failures++
-		}
-	}
-	return RobustnessEstimate{
-		Failure:     stats.FailureRate{Failures: failures, Trials: trials},
-		Errors:      stats.Summarize(errs),
-		TheoryDelta: p.Delta,
-	}
+	return estimate(mkSampler, mkAdv, sys, p, []int{p.N}, trials, workers, root)
 }
 
 // EstimateContinuousRobustnessWorkers is the continuous-game analogue of
 // EstimateRobustnessWorkers: a trial fails if any checkpoint prefix violates
 // the eps-approximation. The checkpoint schedule is the Theorem 1.4
 // geometric grid starting at start. Output is byte-identical for every
-// worker count. Each worker reuses one sampler, one adversary and one
-// incremental discrepancy engine across its trials (every game fully Resets
-// them), so the table-driving hot loop allocates per worker, not per game.
+// worker count.
 func EstimateContinuousRobustnessWorkers(mkSampler SamplerFactory, mkAdv AdversaryFactory, sys setsystem.SetSystem, p Params, start, trials, workers int, root *rng.RNG) RobustnessEstimate {
 	p.validate()
+	return estimate(mkSampler, mkAdv, sys, p, game.MustCheckpoints(start, p.N, p.Eps/4), trials, workers, root)
+}
+
+// estimate plays the trials of both estimators, each a continuous game
+// judged at checkpoints (the plain estimate is the schedule {N}, judged
+// once). Each worker reuses one sampler, one adversary and one incremental
+// discrepancy engine across its trials (every game fully Resets them), so
+// the table-driving hot loop allocates per worker, not per game.
+func estimate(mkSampler SamplerFactory, mkAdv AdversaryFactory, sys setsystem.SetSystem, p Params, checkpoints []int, trials, workers int, root *rng.RNG) RobustnessEstimate {
 	if trials < 1 {
 		panic("core: trials must be >= 1")
-	}
-	checkpoints := game.MustCheckpoints(start, p.N, p.Eps/4)
-	rngs := make([]*rng.RNG, trials)
-	for i := range rngs {
-		rngs[i] = root.Split()
 	}
 	errs := make([]float64, trials)
 	failed := make([]bool, trials)
 	samplers := make([]game.Sampler, WorkerCount(trials, workers))
 	advs := make([]game.Adversary, len(samplers))
 	accs := make([]*setsystem.Accumulator, len(samplers))
-	ForEachTrialOnWorker(trials, workers, func(worker, trial int) {
+	ForEachSplitTrial(trials, workers, root, func(worker, trial int, r *rng.RNG) {
 		if samplers[worker] == nil {
 			samplers[worker] = mkSampler()
 			advs[worker] = mkAdv()
 			accs[worker] = acquireAccumulator(sys)
 		}
-		res := game.RunContinuousWith(samplers[worker], advs[worker], sys, p.N, p.Eps, checkpoints, rngs[trial], accs[worker])
+		res := game.RunContinuousWith(samplers[worker], advs[worker], sys, p.N, p.Eps, checkpoints, r, accs[worker])
 		failed[trial] = !res.OK
 		errs[trial] = res.MaxPrefixErr
 	})

@@ -15,14 +15,32 @@
 //     to its own index of the result slices; then
 //  3. reduce the indexed results in trial order.
 //
-// Nothing about the arithmetic changes — only wall-clock time.
+// ForEachSplitTrial does steps 1 and 2; every Monte-Carlo loop that draws
+// its trials from one root goes through it. Nothing about the arithmetic
+// changes — only wall-clock time.
 package core
 
 import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"robustsample/internal/rng"
 )
+
+// ForEachSplitTrial splits one RNG per trial from root, in trial order, and
+// then runs fn(worker, trial, r) for every trial across the worker pool of
+// ForEachTrialOnWorker, r being the trial's own stream. The trials' results
+// are a function of root alone, whatever the worker count.
+func ForEachSplitTrial(trials, workers int, root *rng.RNG, fn func(worker, trial int, r *rng.RNG)) {
+	rngs := make([]*rng.RNG, trials)
+	for i := range rngs {
+		rngs[i] = root.Split()
+	}
+	ForEachTrialOnWorker(trials, workers, func(worker, trial int) {
+		fn(worker, trial, rngs[trial])
+	})
+}
 
 // ForEachTrial runs fn(trial) for trial = 0..trials-1 across a worker pool.
 // workers <= 0 selects runtime.GOMAXPROCS(0); workers == 1 runs inline with

@@ -26,6 +26,29 @@ func TestForEachTrialCoversEveryTrial(t *testing.T) {
 	}
 }
 
+// TestForEachSplitTrialPreSplits: trial i gets the i-th split of the root
+// in trial order, on a worker of the resolved pool, for every worker count.
+func TestForEachSplitTrialPreSplits(t *testing.T) {
+	const trials = 23
+	want := make([]uint64, trials)
+	root := rng.New(11)
+	for i := range want {
+		want[i] = root.Split().Uint64()
+	}
+	for _, workers := range []int{0, 1, 3, 16} {
+		got := make([]uint64, trials)
+		ForEachSplitTrial(trials, workers, rng.New(11), func(worker, trial int, r *rng.RNG) {
+			if worker < 0 || worker >= WorkerCount(trials, workers) {
+				t.Errorf("workers=%d: trial %d on worker %d", workers, trial, worker)
+			}
+			got[trial] = r.Uint64()
+		})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: trial streams %v, want %v", workers, got, want)
+		}
+	}
+}
+
 // TestEstimateRobustnessParallelDeterminism is the determinism contract of
 // the parallel Monte-Carlo engine: the estimate must be identical — every
 // field, bit for bit — for any worker count, matching the serial loop.

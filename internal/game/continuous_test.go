@@ -2,6 +2,7 @@ package game
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"robustsample/internal/rng"
@@ -9,33 +10,48 @@ import (
 	"robustsample/internal/setsystem"
 )
 
-// recordingSampler wraps a reservoir and snapshots the sample after every
-// Offer, so tests can recompute checkpoint verdicts independently. It
-// optionally forwards LastDelta (the incremental path); hiding it forces
-// RunContinuous onto the rebuild-from-View fallback.
+// recordingSampler wraps one of the sampler families and snapshots the
+// sample after every Offer and every OfferBatch, so tests can recompute
+// checkpoint verdicts independently. With SpanChunkCap = 1 the span path
+// offers one round per batch, so on either path snapshots[i] is the sample
+// after round i+1.
 type recordingSampler struct {
-	inner     *sampler.Reservoir[int64]
-	snapshots [][]int64 // snapshots[i] = sample after round i+1
+	Sampler
+	snapshots [][]int64
 }
 
 func (rs *recordingSampler) Offer(x int64, r *rng.RNG) bool {
-	admitted := rs.inner.Offer(x, r)
-	rs.snapshots = append(rs.snapshots, append([]int64(nil), rs.inner.View()...))
+	admitted := rs.Sampler.Offer(x, r)
+	rs.snapshots = append(rs.snapshots, slices.Clone(rs.View()))
 	return admitted
 }
 
-func (rs *recordingSampler) View() []int64 { return rs.inner.View() }
-func (rs *recordingSampler) Len() int      { return rs.inner.Len() }
+func (rs *recordingSampler) OfferBatch(xs []int64, r *rng.RNG) int {
+	admitted := rs.Sampler.(BatchSampler).OfferBatch(xs, r)
+	rs.snapshots = append(rs.snapshots, slices.Clone(rs.View()))
+	return admitted
+}
+
 func (rs *recordingSampler) Reset() {
-	rs.inner.Reset()
+	rs.Sampler.Reset()
 	rs.snapshots = nil
 }
 
-// deltaRecordingSampler additionally exposes the wrapped reservoir's deltas.
-type deltaRecordingSampler struct{ recordingSampler }
+// uniformStream is a non-adaptive adversary over a narrow universe: a
+// StreamGenerator, so its games take the span path.
+type uniformStream struct{ universe int64 }
 
-func (rs *deltaRecordingSampler) LastDelta() (added, removed []int64) {
-	return rs.recordingSampler.inner.LastDelta()
+func (uniformStream) Name() string { return "uniform-stream" }
+func (uniformStream) Reset()       {}
+
+func (u uniformStream) Next(_ Observation, r *rng.RNG) int64 { return 1 + r.Int63n(u.universe) }
+
+func (u uniformStream) GenerateStream(n int, r *rng.RNG) []int64 {
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = u.Next(Observation{}, r)
+	}
+	return out
 }
 
 func continuousSystems() []setsystem.SetSystem {
@@ -48,63 +64,48 @@ func continuousSystems() []setsystem.SetSystem {
 	}
 }
 
-// TestRunContinuousMatchesOneShotVerdicts replays the recorded per-round
-// samples through the one-shot MaxDiscrepancy and demands bit-exact
-// agreement with every checkpoint the incremental engine produced — for all
-// four set systems, via both the delta path and the View-rebuild fallback.
+// TestRunContinuousMatchesOneShotVerdicts plays every sampler family
+// against an adaptive and a static adversary over all four set systems.
+// Judged once, the continuous game is Run bit for bit, whether its schedule
+// is {n} or empty. Judged at a checkpoint schedule, every verdict the
+// incremental engine produced equals the one-shot MaxDiscrepancy of the
+// recorded prefix and sample, on the round path and the span path alike.
 func TestRunContinuousMatchesOneShotVerdicts(t *testing.T) {
+	defer func(old int) { SpanChunkCap = old }(SpanChunkCap)
+	SpanChunkCap = 1
 	const n = 200
 	for _, sys := range continuousSystems() {
-		for _, mode := range []string{"delta", "fallback"} {
-			var s Sampler
-			var rec *recordingSampler
-			if mode == "delta" {
-				ds := &deltaRecordingSampler{recordingSampler{inner: sampler.NewReservoir[int64](12)}}
-				rec = &ds.recordingSampler
-				s = ds
-			} else {
-				rec = &recordingSampler{inner: sampler.NewReservoir[int64](12)}
-				s = rec
-			}
-			adv := &zigzag{universe: 1 << 10}
-			res := RunContinuous(s, adv, sys, n, 0.3, MustCheckpoints(1, n, 0.25), rng.New(99))
+		for _, fam := range samplerFamilies {
+			for _, adv := range []Adversary{&zigzag{universe: 1 << 10}, uniformStream{universe: 48}} {
+				label := sys.Name() + "/" + fam.name + "/" + adv.Name()
+				once := Run(fam.mk(), adv, sys, n, 0.3, rng.New(99))
+				for _, cps := range [][]int{{n}, nil} {
+					got := RunContinuous(fam.mk(), adv, sys, n, 0.3, cps, rng.New(99)).Result
+					if !reflect.DeepEqual(got, once) {
+						t.Fatalf("%s: RunContinuous with schedule %v gives %v, Run gives %v", label, cps, got, once)
+					}
+				}
 
-			if len(res.PrefixErrors) == 0 {
-				t.Fatalf("%s/%s: no checkpoints evaluated", sys.Name(), mode)
-			}
-			for _, pe := range res.PrefixErrors {
-				want := sys.MaxDiscrepancy(res.Stream[:pe.Round], rec.snapshots[pe.Round-1])
-				if pe.Err != want.Err {
-					t.Fatalf("%s/%s: round %d incremental err %v != one-shot %v",
-						sys.Name(), mode, pe.Round, pe.Err, want.Err)
+				rec := &recordingSampler{Sampler: fam.mk()}
+				res := RunContinuous(rec, adv, sys, n, 0.3, MustCheckpoints(1, n, 0.25), rng.New(99))
+				if len(rec.snapshots) != n {
+					t.Fatalf("%s: %d snapshots, want one per round", label, len(rec.snapshots))
+				}
+				if len(res.PrefixErrors) < 2 || res.PrefixErrors[len(res.PrefixErrors)-1].Round != n {
+					t.Fatalf("%s: checkpoints %v do not end at round %d", label, res.PrefixErrors, n)
+				}
+				for _, pe := range res.PrefixErrors {
+					want := sys.MaxDiscrepancy(res.Stream[:pe.Round], rec.snapshots[pe.Round-1])
+					if pe.Err != want.Err {
+						t.Fatalf("%s: round %d incremental err %v != one-shot %v",
+							label, pe.Round, pe.Err, want.Err)
+					}
+				}
+				if res.Discrepancy != sys.MaxDiscrepancy(res.Stream, res.Sample) {
+					t.Fatalf("%s: final discrepancy mismatch", label)
 				}
 			}
-			last := res.PrefixErrors[len(res.PrefixErrors)-1]
-			if last.Round != n {
-				t.Fatalf("%s/%s: final round not evaluated", sys.Name(), mode)
-			}
-			if res.Discrepancy != sys.MaxDiscrepancy(res.Stream, res.Sample) {
-				t.Fatalf("%s/%s: final discrepancy mismatch", sys.Name(), mode)
-			}
 		}
-	}
-}
-
-// TestRunContinuousDeltaMatchesFallback runs the same seeded game through
-// the delta path and the fallback path; every recorded value must agree.
-func TestRunContinuousDeltaMatchesFallback(t *testing.T) {
-	const n = 150
-	sys := setsystem.NewIntervals(1 << 10)
-	cps := MustCheckpoints(1, n, 0.1)
-
-	run := func(s Sampler) ContinuousResult {
-		return RunContinuous(s, &zigzag{universe: 1 << 10}, sys, n, 0.25, cps, rng.New(7))
-	}
-	withDeltas := run(&deltaRecordingSampler{recordingSampler{inner: sampler.NewReservoir[int64](9)}})
-	fallback := run(&recordingSampler{inner: sampler.NewReservoir[int64](9)})
-
-	if !reflect.DeepEqual(withDeltas, fallback) {
-		t.Fatalf("delta path and fallback disagree:\n%+v\nvs\n%+v", withDeltas, fallback)
 	}
 }
 

@@ -56,8 +56,8 @@ func (a *deltaCheckingAdversary) Next(obs Observation, r *rng.RNG) int64 {
 	return 1 + r.Int63n(12)
 }
 
-// deltaSamplers lists the four sampler families, each a SampleDeltaReporter.
-var deltaSamplers = []struct {
+// samplerFamilies lists the four sampler families.
+var samplerFamilies = []struct {
 	name string
 	mk   func() Sampler
 }{
@@ -67,13 +67,10 @@ var deltaSamplers = []struct {
 	{"with-replacement", func() Sampler { return sampler.NewWithReplacement[int64](8) }},
 }
 
-// hiddenDelta forwards only the Sampler methods, hiding LastDelta.
-type hiddenDelta struct{ Sampler }
-
 func TestObservationDeltaContract(t *testing.T) {
 	const n = 300
 	sys := setsystem.NewPrefixes(16)
-	for _, ds := range deltaSamplers {
+	for _, ds := range samplerFamilies {
 		for _, mode := range []string{"Run", "RunContinuousWith"} {
 			for seed := uint64(1); seed <= 5; seed++ {
 				label := fmt.Sprintf("%s/%s/seed%d", ds.name, mode, seed)
@@ -94,28 +91,6 @@ func TestObservationDeltaContract(t *testing.T) {
 						t.Fatalf("%s: DeltaKnown unset on round %d", label, i+2)
 					}
 				}
-			}
-		}
-	}
-}
-
-func TestObservationDeltaUnknownWithoutReporter(t *testing.T) {
-	const n = 100
-	sys := setsystem.NewPrefixes(16)
-	for _, ds := range deltaSamplers {
-		for _, mode := range []string{"Run", "RunContinuous"} {
-			adv := &deltaCheckingAdversary{t: t, label: ds.name + "/" + mode}
-			s := hiddenDelta{ds.mk()}
-			if _, ok := Sampler(s).(SampleDeltaReporter); ok {
-				t.Fatal("hiddenDelta must not report deltas")
-			}
-			if mode == "Run" {
-				Run(s, adv, sys, n, 0.5, rng.New(7))
-			} else {
-				RunContinuous(s, adv, sys, n, 0.5, AllRounds(n), rng.New(7))
-			}
-			if i := slices.Index(adv.known, true); i >= 0 {
-				t.Fatalf("%s/%s: DeltaKnown set on round %d for a sampler without LastDelta", ds.name, mode, i+1)
 			}
 		}
 	}

@@ -10,10 +10,12 @@
 //  3. Adversary observes the updated state before the next round.
 //
 // The verdict is the exact epsilon-approximation check of Definition 1.1
-// against the chosen set system. The continuous variant additionally
-// evaluates the approximation at every prefix (or on a caller-supplied
-// checkpoint schedule for long streams, mirroring the checkpoint technique
-// in the proof of Theorem 1.4).
+// against the chosen set system. The package writes the game once (play):
+// Figure 1 is Figure 2 judged at the single checkpoint n, so Run,
+// RunContinuous and RunSharded differ only in the player they hand the loop
+// — one sampler judged once, one sampler judged at a checkpoint schedule
+// (every prefix, or the geometric grid of the proof of Theorem 1.4), or a
+// sharded coordinator answering with its merged verdict.
 package game
 
 import (
@@ -26,8 +28,9 @@ import (
 )
 
 // Sampler is the streaming-player interface specialized to ordered int64
-// universes, as required by the adversarial games. Both samplers of the
-// paper (Bernoulli, reservoir) satisfy it via their int64 instantiations.
+// universes, as required by the adversarial games. Every sampler of the
+// repository (Bernoulli, Algorithm R and L reservoirs, with-replacement)
+// satisfies it via its int64 instantiation.
 type Sampler interface {
 	// Offer processes the next element; the returned flag is whether the
 	// element entered the sample this round (visible to the adversary as
@@ -39,18 +42,18 @@ type Sampler interface {
 	Len() int
 	// Reset clears the sampler for a fresh game.
 	Reset()
+	// LastDelta reports how the sample multiset changed in the most recent
+	// Offer (or, cumulatively, the most recent OfferBatch): the elements
+	// added and the elements displaced (the reservoir eviction path). A
+	// game judged at more than one checkpoint keeps its incremental verdict
+	// engine in step with it at O(1) per round, and every game hands it to
+	// the adversary (Observation.DeltaKnown). The slices are valid until
+	// the next Offer/OfferBatch and must not be mutated.
+	LastDelta() (added, removed []int64)
 }
 
-// SampleDeltaReporter is an optional Sampler extension reporting how the
-// sample multiset changed in the most recent Offer (or, cumulatively, the
-// most recent OfferBatch): the elements added and the elements displaced
-// (the reservoir eviction path). RunContinuous uses it to keep its
-// incremental discrepancy accumulator in sync with the sample in O(1) per
-// round; samplers that do not implement it fall back to an O(|sample|)
-// rebuild per checkpoint; Run and RunContinuous also hand each round's delta
-// to the adversary (Observation.DeltaKnown). All samplers in this repository
-// implement it. The returned slices are valid until the next
-// Offer/OfferBatch and must not be mutated.
+// SampleDeltaReporter is LastDelta on its own: the part of a Sampler that
+// IngestBatchSynced reads.
 type SampleDeltaReporter interface {
 	LastDelta() (added, removed []int64)
 }
@@ -61,8 +64,8 @@ type SampleDeltaReporter interface {
 // reservoir-family samplers additionally draw randomness bit-identically to
 // per-element Offers; Bernoulli's batch path uses geometric gap-skipping —
 // the same admission law through different draws). The games use it to
-// ingest the spans between adversary decisions or checkpoints without
-// per-element interface-call overhead.
+// ingest the spans between checkpoints without per-element interface-call
+// overhead.
 type BatchSampler interface {
 	OfferBatch(xs []int64, r *rng.RNG) int
 }
@@ -77,7 +80,7 @@ type StreamGenerator interface {
 	GenerateStream(n int, r *rng.RNG) []int64
 }
 
-// SpanChunkCap caps how many rounds the batched game loops ingest per
+// SpanChunkCap caps how many rounds the span path ingests per
 // OfferBatch/AddStreamBatch call. Any positive value yields identical
 // results — batch ingestion is chunking-invariant — so this only tunes
 // working-set locality; robustbench exposes it as -chunk to demonstrate the
@@ -111,10 +114,12 @@ type Observation struct {
 	// DeltaKnown reports whether Added and Removed hold the change the
 	// previous round made to the sample: Sample equals the previous
 	// round's Sample plus Added minus Removed, as multisets. The games set
-	// it from round 2 on when the sampler is a SampleDeltaReporter. It adds
-	// nothing to what Figure 1 grants — the adversary saw σ_{i-2} last
-	// round and sees σ_{i-1} now — but lets it follow the sample at the
-	// cost of the change instead of re-reading the whole view.
+	// it on every round but the first, except RunSharded, whose union
+	// sample has no per-round delta (and hand-built Observations leave it
+	// false). It adds nothing to what Figure 1 grants — the adversary saw
+	// σ_{i-2} last round and sees σ_{i-1} now — but lets it follow the
+	// sample at the cost of the change instead of re-reading the whole
+	// view.
 	DeltaKnown bool
 	// Added and Removed are the previous round's sample delta when
 	// DeltaKnown is set. They are live views valid for this round only;
@@ -152,10 +157,12 @@ func (r Result) String() string {
 	return fmt.Sprintf("n=%d |S|=%d %v ok=%v", len(r.Stream), len(r.Sample), r.Discrepancy, r.OK)
 }
 
-// Run plays one AdaptiveGame of n rounds and returns the outcome. The
-// sampler and adversary are Reset before play. Sampler and adversary receive
-// independent RNG streams split from r, matching the paper's model where the
-// two players have private randomness.
+// Run plays one AdaptiveGame of n rounds and returns the outcome: the
+// continuous game judged once, at round n, by the set system's one-shot
+// MaxDiscrepancy (no incremental engine is kept). The sampler and adversary
+// are Reset before play. Sampler and adversary receive independent RNG
+// streams split from r, matching the paper's model where the two players
+// have private randomness.
 //
 // When the adversary is a StreamGenerator and the sampler a BatchSampler,
 // the round loop collapses to one stream generation plus chunked bulk
@@ -165,64 +172,7 @@ func (r Result) String() string {
 // Bernoulli's gap-skipping batch path selects an equally distributed sample
 // through different draws.
 func Run(s Sampler, adv Adversary, sys setsystem.SetSystem, n int, eps float64, r *rng.RNG) Result {
-	if n < 1 {
-		panic("game: stream length must be >= 1")
-	}
-	s.Reset()
-	adv.Reset()
-	samplerRNG := r.Split()
-	advRNG := r.Split()
-
-	if gen, ok := adv.(StreamGenerator); ok {
-		if bs, ok := s.(BatchSampler); ok {
-			stream := generateStream(gen, n, advRNG)
-			for i := 0; i < n; i += spanChunk() {
-				bs.OfferBatch(stream[i:min(i+spanChunk(), n)], samplerRNG)
-			}
-			sample := append([]int64(nil), s.View()...)
-			d := sys.MaxDiscrepancy(stream, sample)
-			return Result{
-				Stream:      stream,
-				Sample:      sample,
-				Discrepancy: d,
-				Eps:         eps,
-				OK:          d.Err <= eps,
-			}
-		}
-	}
-
-	deltas, trackDeltas := s.(SampleDeltaReporter)
-	stream := make([]int64, 0, n)
-	lastAdmitted := false
-	var added, removed []int64
-	for i := 1; i <= n; i++ {
-		obs := Observation{
-			Round:        i,
-			N:            n,
-			Sample:       s.View(),
-			LastAdmitted: lastAdmitted,
-			History:      stream,
-			DeltaKnown:   trackDeltas && i > 1,
-			Added:        added,
-			Removed:      removed,
-		}
-		x := adv.Next(obs, advRNG)
-		stream = append(stream, x)
-		lastAdmitted = s.Offer(x, samplerRNG)
-		if trackDeltas {
-			added, removed = deltas.LastDelta()
-		}
-	}
-
-	sample := append([]int64(nil), s.View()...)
-	d := sys.MaxDiscrepancy(stream, sample)
-	return Result{
-		Stream:      stream,
-		Sample:      sample,
-		Discrepancy: d,
-		Eps:         eps,
-		OK:          d.Err <= eps,
-	}
+	return play(&player{s: s, sys: sys}, adv, n, eps, nil, r).Result
 }
 
 // PrefixError records the exact approximation error of the sample against
@@ -291,16 +241,6 @@ func MustCheckpoints(start, n int, gamma float64) []int {
 	return cps
 }
 
-// generateStream asks a StreamGenerator for the full n-round stream and
-// validates its length (mirroring Static's short-stream panic).
-func generateStream(gen StreamGenerator, n int, r *rng.RNG) []int64 {
-	stream := gen.GenerateStream(n, r)
-	if len(stream) < n {
-		panic("game: stream generator produced short stream")
-	}
-	return stream[:n]
-}
-
 // normalizeCheckpoints returns the in-range checkpoints sorted ascending
 // with duplicates removed, always including the final round n.
 func normalizeCheckpoints(checkpoints []int, n int) []int {
@@ -319,141 +259,34 @@ func normalizeCheckpoints(checkpoints []int, n int) []int {
 // epsilon-approximation error at each round in checkpoints (out-of-range
 // rounds are ignored; the final round n is evaluated even if absent). Unlike
 // Figure 2 the game does not halt at the first violation — it records it and
-// plays on, so experiments can report the full error trajectory.
+// plays on, so experiments can report the full error trajectory. A schedule
+// that reduces to round n alone is Run, judged once by MaxDiscrepancy.
 //
-// Verdicts are computed by the set system's incremental Accumulator rather
-// than a full re-sort of the stream prefix at every checkpoint: stream
-// elements are folded in as they are played, and the sample side is kept in
-// sync through the sampler's SampleDeltaReporter (covering reservoir
-// evictions via RemoveSample). Samplers that do not report deltas are still
-// exact — the sample histogram is rebuilt from View at each checkpoint. The
-// per-checkpoint Discrepancy is bit-identical to
-// sys.MaxDiscrepancy(stream[:i], sample_i).
+// With more than one checkpoint, verdicts come from the set system's
+// incremental Accumulator rather than a full re-sort of the stream prefix at
+// every checkpoint: stream elements are folded in as they are played, and
+// the sample side is kept in step through the sampler's LastDelta (covering
+// reservoir evictions via RemoveSample). The per-checkpoint Discrepancy is
+// bit-identical to sys.MaxDiscrepancy(stream[:i], sample_i).
 //
-// When the adversary is a StreamGenerator and the sampler a delta-reporting
-// BatchSampler, the spans between checkpoints are driven through bulk
-// ingest (OfferBatch + AddStreamBatch in SpanChunkCap-sized chunks) instead
-// of the round loop; verdicts and trajectories are unchanged — bit-identical
-// for the reservoir family, equal in distribution for Bernoulli.
+// When the adversary is a StreamGenerator and the sampler a BatchSampler,
+// the spans between checkpoints are driven through bulk ingest
+// (IngestBatchSynced in SpanChunkCap-sized chunks) instead of the round
+// loop; verdicts and trajectories are unchanged — bit-identical for the
+// reservoir family, equal in distribution for Bernoulli.
 func RunContinuous(s Sampler, adv Adversary, sys setsystem.SetSystem, n int, eps float64, checkpoints []int, r *rng.RNG) ContinuousResult {
 	return RunContinuousWith(s, adv, sys, n, eps, checkpoints, r, nil)
 }
 
 // RunContinuousWith is RunContinuous with a caller-provided incremental
-// engine: acc must have been obtained from sys.NewAccumulator (it is Reset
-// before play) or be nil, in which case a fresh engine is allocated.
+// engine: acc must have been obtained from sys.NewAccumulator or be nil, in
+// which case a fresh engine is allocated. A game judged at more than one
+// checkpoint Resets acc before play; a game judged once leaves it alone.
 // Monte-Carlo drivers pass one accumulator per worker so the engine's
 // compression tables and block storage are allocated once per worker
 // instead of once per game; results are identical either way.
 func RunContinuousWith(s Sampler, adv Adversary, sys setsystem.SetSystem, n int, eps float64, checkpoints []int, r *rng.RNG, acc *setsystem.Accumulator) ContinuousResult {
-	if n < 1 {
-		panic("game: stream length must be >= 1")
-	}
-	s.Reset()
-	adv.Reset()
-	samplerRNG := r.Split()
-	advRNG := r.Split()
-
-	cps := normalizeCheckpoints(checkpoints, n)
-
-	if acc == nil {
-		acc = sys.NewAccumulator()
-	} else {
-		acc.Reset()
-	}
-	// Distinct values are bounded by both the universe and (for in-repo
-	// samplers, whose samples are stream subsets) the stream length; cap
-	// the pre-sizing so giant games don't over-allocate.
-	hint := n
-	if u := sys.UniverseSize(); u < int64(hint) {
-		hint = int(u)
-	}
-	if hint > 1<<20 {
-		hint = 1 << 20
-	}
-	acc.Reserve(hint)
-	deltas, trackDeltas := s.(SampleDeltaReporter)
-
-	if gen, ok := adv.(StreamGenerator); ok && trackDeltas {
-		if bs, ok := s.(BatchSampler); ok {
-			return runContinuousBatched(s, bs, deltas, gen, sys, n, eps, cps, acc, samplerRNG, advRNG)
-		}
-	}
-
-	stream := make([]int64, 0, n)
-	lastAdmitted := false
-	var added, removed []int64
-	var prefixErrs []PrefixError
-	maxErr := 0.0
-	firstViolation := 0
-	var final setsystem.Discrepancy
-
-	next := 0 // cursor into cps; cps is sorted so one comparison per round
-	for i := 1; i <= n; i++ {
-		obs := Observation{
-			Round:        i,
-			N:            n,
-			Sample:       s.View(),
-			LastAdmitted: lastAdmitted,
-			History:      stream,
-			DeltaKnown:   trackDeltas && i > 1,
-			Added:        added,
-			Removed:      removed,
-		}
-		x := adv.Next(obs, advRNG)
-		stream = append(stream, x)
-		lastAdmitted = s.Offer(x, samplerRNG)
-
-		acc.AddStream(x)
-		if trackDeltas {
-			added, removed = deltas.LastDelta()
-			for _, a := range added {
-				acc.AddSample(a)
-			}
-			for _, e := range removed {
-				acc.RemoveSample(e)
-			}
-		}
-
-		if next < len(cps) && cps[next] == i {
-			next++
-			var d setsystem.Discrepancy
-			if trackDeltas {
-				d = acc.Max()
-			} else {
-				view := s.View()
-				for _, v := range view {
-					acc.AddSample(v)
-				}
-				d = acc.Max()
-				for _, v := range view {
-					acc.RemoveSample(v)
-				}
-			}
-			prefixErrs = append(prefixErrs, PrefixError{Round: i, Err: d.Err})
-			if d.Err > maxErr {
-				maxErr = d.Err
-			}
-			if d.Err > eps && firstViolation == 0 {
-				firstViolation = i
-			}
-			final = d // round n is always the last checkpoint
-		}
-	}
-
-	sample := append([]int64(nil), s.View()...)
-	return ContinuousResult{
-		Result: Result{
-			Stream:      stream,
-			Sample:      sample,
-			Discrepancy: final,
-			Eps:         eps,
-			OK:          firstViolation == 0,
-		},
-		PrefixErrors:   prefixErrs,
-		MaxPrefixErr:   maxErr,
-		FirstViolation: firstViolation,
-	}
+	return play(&player{s: s, sys: sys, acc: acc}, adv, n, eps, checkpoints, r)
 }
 
 // IngestBatchSynced feeds one batch of consecutive stream elements through
@@ -465,8 +298,8 @@ func RunContinuousWith(s Sampler, adv Adversary, sys setsystem.SetSystem, n int,
 // ingest both multisets in one fused pass. It returns the number of
 // elements the sampler admitted from the batch.
 //
-// This is the bit-exactness-critical step shared by the batched continuous
-// game, the shard engine's per-shard flush, and the serving pipeline's
+// This is the bit-exactness-critical step shared by the continuous game's
+// span path, the shard engine's per-shard flush, and the serving pipeline's
 // consumer goroutines; keeping it in one place keeps those paths incapable
 // of drifting apart.
 func IngestBatchSynced(bs BatchSampler, deltas SampleDeltaReporter, acc *setsystem.Accumulator, xs []int64, r *rng.RNG) int {
@@ -486,48 +319,179 @@ func IngestBatchSynced(bs BatchSampler, deltas SampleDeltaReporter, acc *setsyst
 	return admitted
 }
 
-// runContinuousBatched is RunContinuous's span loop for non-adaptive
-// adversaries and bulk-ingest samplers: the stream is generated once, and
-// each inter-checkpoint span is offered and accumulated in chunks via
-// IngestBatchSynced. Checkpoint verdicts are produced by the same
-// Accumulator on the same multisets as the round loop, hence bit-identical.
-func runContinuousBatched(s Sampler, bs BatchSampler, deltas SampleDeltaReporter, gen StreamGenerator, sys setsystem.SetSystem, n int, eps float64, cps []int, acc *setsystem.Accumulator, samplerRNG, advRNG *rng.RNG) ContinuousResult {
-	stream := generateStream(gen, n, advRNG)
+// player is the sampling side of a game: where the sample, the admission
+// feedback and the verdict come from. It is either one sampler s — judged
+// once by sys.MaxDiscrepancy when acc is nil, or kept in step with the
+// incremental engine acc every round — or a sharded engine e answering with
+// its merged Verdict.
+type player struct {
+	s   Sampler
+	bs  BatchSampler // s's bulk path, if it has one
+	sys setsystem.SetSystem
+	acc *setsystem.Accumulator
+	r   *rng.RNG // s's private stream
 
-	var prefixErrs []PrefixError
-	maxErr := 0.0
-	firstViolation := 0
-	var final setsystem.Discrepancy
+	e ShardedEngine
+}
 
-	played := 0
-	for _, cp := range cps {
-		for played < cp {
-			j := min(played+spanChunk(), cp)
-			IngestBatchSynced(bs, deltas, acc, stream[played:j], samplerRNG)
-			played = j
+// start resets the player for a game of n rounds and splits its randomness
+// from r. A sampler judged once keeps no engine; one judged at more
+// checkpoints gets acc (or a fresh engine) Reset and pre-sized.
+func (p *player) start(r *rng.RNG, n int, judgedOnce bool) {
+	if p.e != nil {
+		p.e.StartGame(r)
+		return
+	}
+	p.s.Reset()
+	p.r = r.Split()
+	p.bs, _ = p.s.(BatchSampler)
+	if judgedOnce {
+		p.acc = nil
+		return
+	}
+	if p.acc == nil {
+		p.acc = p.sys.NewAccumulator()
+	} else {
+		p.acc.Reset()
+	}
+	// Distinct values are bounded by both the universe and (for in-repo
+	// samplers, whose samples are stream subsets) the stream length; cap
+	// the pre-sizing so giant games don't over-allocate.
+	p.acc.Reserve(int(min(int64(n), p.sys.UniverseSize(), 1<<20)))
+}
+
+// view returns the sample the adversary observes.
+func (p *player) view() []int64 {
+	if p.e != nil {
+		return p.e.SampleView()
+	}
+	return p.s.View()
+}
+
+// offer plays one round's element and reports whether it was admitted and,
+// for a single sampler, the delta it made to the sample.
+func (p *player) offer(x int64) (admitted bool, added, removed []int64) {
+	if p.e != nil {
+		_, admitted = p.e.Offer(x)
+		return admitted, nil, nil
+	}
+	admitted = p.s.Offer(x, p.r)
+	added, removed = p.s.LastDelta()
+	if p.acc != nil {
+		p.acc.AddStream(x)
+		for _, a := range added {
+			p.acc.AddSample(a)
 		}
-		d := acc.Max()
-		prefixErrs = append(prefixErrs, PrefixError{Round: cp, Err: d.Err})
-		if d.Err > maxErr {
-			maxErr = d.Err
+		for _, e := range removed {
+			p.acc.RemoveSample(e)
 		}
-		if d.Err > eps && firstViolation == 0 {
-			firstViolation = cp
+	}
+	return admitted, added, removed
+}
+
+// offerSpan ingests a run of consecutive non-adaptive rounds in bulk.
+func (p *player) offerSpan(xs []int64) {
+	switch {
+	case p.e != nil:
+		p.e.OfferBatch(xs)
+	case p.acc != nil:
+		IngestBatchSynced(p.bs, p.s, p.acc, xs, p.r)
+	default:
+		p.bs.OfferBatch(xs, p.r)
+	}
+}
+
+// verdict judges the sample against the stream prefix played so far.
+func (p *player) verdict(prefix []int64) setsystem.Discrepancy {
+	switch {
+	case p.e != nil:
+		return p.e.Verdict()
+	case p.acc != nil:
+		return p.acc.Max()
+	default:
+		return p.sys.MaxDiscrepancy(prefix, p.s.View())
+	}
+}
+
+// sample returns a copy of the final sample.
+func (p *player) sample() []int64 {
+	if p.e != nil {
+		return p.e.Sample()
+	}
+	return append([]int64(nil), p.s.View()...)
+}
+
+// play is the game of Section 2, written once: n rounds against adv,
+// judged by p at every round of checkpoints (and always at round n). The
+// adversary is Reset, then the player splits its randomness from r, then
+// the adversary's stream is split. A StreamGenerator adversary facing a
+// player with a bulk path is played span by span between checkpoints;
+// every other game plays the literal round loop.
+func play(p *player, adv Adversary, n int, eps float64, checkpoints []int, r *rng.RNG) ContinuousResult {
+	if n < 1 {
+		panic("game: stream length must be >= 1")
+	}
+	cps := normalizeCheckpoints(checkpoints, n)
+	adv.Reset()
+	p.start(r, n, len(cps) == 1)
+	advRNG := r.Split()
+
+	out := ContinuousResult{Result: Result{Eps: eps}}
+	var stream []int64
+	if gen, ok := adv.(StreamGenerator); ok && (p.e != nil || p.bs != nil) {
+		stream = gen.GenerateStream(n, advRNG)
+		if len(stream) < n {
+			panic("game: stream generator produced short stream")
 		}
-		final = d // round n is always the last checkpoint
+		stream = stream[:n]
+		played := 0
+		for _, cp := range cps {
+			for played < cp {
+				j := min(played+spanChunk(), cp)
+				p.offerSpan(stream[played:j])
+				played = j
+			}
+			out.record(cp, p.verdict(stream[:cp]))
+		}
+	} else {
+		stream = make([]int64, 0, n)
+		admitted := false
+		var added, removed []int64
+		next := 0 // cursor into cps; cps is sorted and ends at n
+		for i := 1; i <= n; i++ {
+			x := adv.Next(Observation{
+				Round:        i,
+				N:            n,
+				Sample:       p.view(),
+				LastAdmitted: admitted,
+				History:      stream,
+				DeltaKnown:   p.e == nil && i > 1,
+				Added:        added,
+				Removed:      removed,
+			}, advRNG)
+			stream = append(stream, x)
+			admitted, added, removed = p.offer(x)
+			if cps[next] == i {
+				next++
+				out.record(i, p.verdict(stream))
+			}
+		}
 	}
 
-	sample := append([]int64(nil), s.View()...)
-	return ContinuousResult{
-		Result: Result{
-			Stream:      stream,
-			Sample:      sample,
-			Discrepancy: final,
-			Eps:         eps,
-			OK:          firstViolation == 0,
-		},
-		PrefixErrors:   prefixErrs,
-		MaxPrefixErr:   maxErr,
-		FirstViolation: firstViolation,
+	out.Stream = stream
+	out.Sample = p.sample()
+	out.OK = out.FirstViolation == 0
+	return out
+}
+
+// record appends the verdict d at round to the trajectory.
+func (c *ContinuousResult) record(round int, d setsystem.Discrepancy) {
+	c.PrefixErrors = append(c.PrefixErrors, PrefixError{Round: round, Err: d.Err})
+	if d.Err > c.MaxPrefixErr {
+		c.MaxPrefixErr = d.Err
 	}
+	if d.Err > c.Eps && c.FirstViolation == 0 {
+		c.FirstViolation = round
+	}
+	c.Discrepancy = d // round n is always the last checkpoint
 }

@@ -40,93 +40,24 @@ type ShardedEngine interface {
 	Sample() []int64
 }
 
-// RunSharded plays one continuous adaptive game against a sharded engine:
-// the adversary submits one stream, the engine routes it across shards, and
-// the exact global epsilon-approximation error (union stream vs union
-// sample) is evaluated at each checkpoint, exactly as RunContinuous does for
-// a single sampler. The engine and the adversary receive independent RNG
-// streams derived from r in that order, mirroring the unsharded games.
+// RunSharded plays one continuous adaptive game against a sharded engine —
+// the same loop as RunContinuous, with the engine as the player: the
+// adversary submits one stream, the engine routes it across shards, and the
+// engine's merged Verdict (union stream vs union sample) judges every
+// checkpoint. The engine and the adversary receive independent RNG streams
+// derived from r in that order, mirroring the unsharded games.
 //
 // The adversary's Observation carries the coordinator's view: Sample is the
-// union of the per-shard samples and LastAdmitted reports whether the
-// previous element entered ANY shard's sample. (Attacks that need per-shard
-// admission feedback — the distributed bisection arm — drive the engine
-// directly; see internal/shard.RunTargetedBisectionUnbounded.)
+// union of the per-shard samples, LastAdmitted reports whether the previous
+// element entered ANY shard's sample, and DeltaKnown is never set (the union
+// has no per-round delta). Attacks that need per-shard admission feedback —
+// the distributed bisection arm — drive the engine directly; see
+// internal/shard.RunTargetedBisectionUnbounded.
 //
 // When the adversary is a StreamGenerator, the rounds between checkpoints
 // collapse into chunked bulk ingest (Engine.OfferBatch in SpanChunkCap-sized
 // chunks), letting shards ingest in parallel; verdicts and trajectories are
 // unchanged because routing and sampling are chunking-invariant.
 func RunSharded(e ShardedEngine, adv Adversary, n int, eps float64, checkpoints []int, r *rng.RNG) ContinuousResult {
-	if n < 1 {
-		panic("game: stream length must be >= 1")
-	}
-	adv.Reset()
-	e.StartGame(r)
-	advRNG := r.Split()
-
-	cps := normalizeCheckpoints(checkpoints, n)
-
-	var prefixErrs []PrefixError
-	maxErr := 0.0
-	firstViolation := 0
-	var final setsystem.Discrepancy
-	checkpoint := func(round int) {
-		d := e.Verdict()
-		prefixErrs = append(prefixErrs, PrefixError{Round: round, Err: d.Err})
-		if d.Err > maxErr {
-			maxErr = d.Err
-		}
-		if d.Err > eps && firstViolation == 0 {
-			firstViolation = round
-		}
-		final = d // round n is always the last checkpoint
-	}
-
-	var stream []int64
-	if gen, ok := adv.(StreamGenerator); ok {
-		stream = generateStream(gen, n, advRNG)
-		played := 0
-		for _, cp := range cps {
-			for played < cp {
-				j := min(played+spanChunk(), cp)
-				e.OfferBatch(stream[played:j])
-				played = j
-			}
-			checkpoint(cp)
-		}
-	} else {
-		stream = make([]int64, 0, n)
-		lastAdmitted := false
-		next := 0 // cursor into cps; cps is sorted so one comparison per round
-		for i := 1; i <= n; i++ {
-			obs := Observation{
-				Round:        i,
-				N:            n,
-				Sample:       e.SampleView(),
-				LastAdmitted: lastAdmitted,
-				History:      stream,
-			}
-			x := adv.Next(obs, advRNG)
-			stream = append(stream, x)
-			_, lastAdmitted = e.Offer(x)
-			if next < len(cps) && cps[next] == i {
-				next++
-				checkpoint(i)
-			}
-		}
-	}
-
-	return ContinuousResult{
-		Result: Result{
-			Stream:      stream,
-			Sample:      e.Sample(),
-			Discrepancy: final,
-			Eps:         eps,
-			OK:          firstViolation == 0,
-		},
-		PrefixErrors:   prefixErrs,
-		MaxPrefixErr:   maxErr,
-		FirstViolation: firstViolation,
-	}
+	return play(&player{e: e}, adv, n, eps, checkpoints, r)
 }

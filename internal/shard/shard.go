@@ -45,10 +45,10 @@ type Config struct {
 	// engine, e.g. experiment E12's query-routing cluster).
 	System setsystem.SetSystem
 	// NewSampler builds shard i's sampler, which must also implement
-	// game.BatchSampler and game.SampleDeltaReporter (New panics
-	// otherwise). It is called once per shard at engine construction;
-	// samplers are Reset (never rebuilt) on StartGame. nil gives a
-	// routing/recording-only engine with no samplers and no verdicts.
+	// game.BatchSampler (New panics otherwise). It is called once per
+	// shard at engine construction; samplers are Reset (never rebuilt) on
+	// StartGame. nil gives a routing/recording-only engine with no
+	// samplers and no verdicts.
 	NewSampler func(shard int) game.Sampler
 	// Workers sizes the worker pool for parallel shard ingest: 0 uses all
 	// CPUs, 1 runs inline. Results are byte-identical for every value.
@@ -59,14 +59,13 @@ type Config struct {
 	RecordStreams bool
 }
 
-// shardSampler is what a shard needs of its sampler: bulk ingest, and the
-// per-offer sample delta that keeps the accumulator's sample side exact.
+// shardSampler is what a shard needs of its sampler: a game.Sampler, whose
+// LastDelta keeps the accumulator's sample side exact, with bulk ingest.
 // Reservoir, ReservoirL and Bernoulli — every sampler the repository
 // shards — provide both.
 type shardSampler interface {
 	game.Sampler
 	game.BatchSampler
-	game.SampleDeltaReporter
 }
 
 // shardState is one shard: a sampler fed from a private RNG stream plus the
@@ -116,7 +115,7 @@ func New(cfg Config, root *rng.RNG) *Engine {
 		if cfg.NewSampler != nil {
 			smp, ok := cfg.NewSampler(i).(shardSampler)
 			if !ok {
-				panic("shard: samplers must implement OfferBatch and LastDelta")
+				panic("shard: samplers must implement OfferBatch")
 			}
 			sh.sampler = smp
 			sh.acc = cfg.System.NewAccumulator()

@@ -347,7 +347,7 @@ func TestRoutingOnlyEngine(t *testing.T) {
 
 // TestConfigValidation pins New's construction panics: no shards, samplers
 // without a set system, and samplers lacking the bulk ingest (OfferBatch)
-// or the sample delta (LastDelta) every shard applies through.
+// every shard applies through.
 func TestConfigValidation(t *testing.T) {
 	withSampler := func(mk func() game.Sampler) func() {
 		return func() {
@@ -356,14 +356,7 @@ func TestConfigValidation(t *testing.T) {
 			}}, rng.New(1))
 		}
 	}
-	type noBatch struct {
-		game.Sampler
-		game.SampleDeltaReporter
-	}
-	type noDelta struct {
-		game.Sampler
-		game.BatchSampler
-	}
+	type noBatch struct{ game.Sampler }
 	for _, f := range []func(){
 		func() { New(Config{Shards: 0}, rng.New(1)) },
 		func() {
@@ -372,12 +365,7 @@ func TestConfigValidation(t *testing.T) {
 			}}, rng.New(1))
 		},
 		withSampler(func() game.Sampler {
-			r := sampler.NewReservoir[int64](4)
-			return noBatch{r, r}
-		}),
-		withSampler(func() game.Sampler {
-			r := sampler.NewReservoir[int64](4)
-			return noDelta{r, r}
+			return noBatch{sampler.NewReservoir[int64](4)}
 		}),
 	} {
 		func() {
