@@ -96,6 +96,7 @@ type Pipeline struct {
 	producers []*Producer
 	shardRing []*Ring
 	shardMu   []sync.Mutex
+	readers   []atomic.Int32  // per shard, readers announced and not yet holding shardMu
 	applied   []atomic.Uint64 // per shard, bumped after Apply returns
 	routed    []atomic.Uint64 // per producer lane, bumped after the router forwards (deterministic mode)
 	lost      []atomic.Uint64 // per shard, elements in chunks dropped by the supervisor
@@ -152,6 +153,7 @@ func Start(cfg Config) (*Pipeline, error) {
 		cfg:        cfg,
 		shardRing:  make([]*Ring, cfg.Shards),
 		shardMu:    make([]sync.Mutex, cfg.Shards),
+		readers:    make([]atomic.Int32, cfg.Shards),
 		applied:    make([]atomic.Uint64, cfg.Shards),
 		routed:     make([]atomic.Uint64, cfg.Producers),
 		lost:       make([]atomic.Uint64, cfg.Shards),
@@ -366,11 +368,18 @@ func (p *Pipeline) forward(lane int, x int64) {
 // leave the ring only in ring order and only under the lock that serializes
 // Apply. The lock-free Backlog pre-check keeps idle consumers from bouncing
 // foreign shard locks.
+//
+// A reader waiting for the shard (lockForRead) gets the lock after the
+// chunk in progress: drain yields to it before it locks and after it
+// unlocks. A consumer that unlocked and re-locked at once would otherwise
+// win the lock again and again, and hold the reader off for hundreds of
+// chunks until sync.Mutex's 1 ms starvation handoff.
 func (p *Pipeline) drain(s int, buf []int64) int {
 	ring := p.shardRing[s]
 	if ring.Backlog() == 0 {
 		return 0
 	}
+	p.yieldToReaders(s)
 	p.shardMu[s].Lock()
 	n := ring.PopInto(buf)
 	if n > 0 {
@@ -380,7 +389,18 @@ func (p *Pipeline) drain(s int, buf []int64) int {
 	if n > 0 {
 		p.applied[s].Add(uint64(n))
 	}
+	p.yieldToReaders(s)
 	return n
+}
+
+// yieldToReaders yields until no reader waits for shard s's lock. After an
+// unlock this also runs a reader that the unlock woke onto this goroutine's
+// own run queue, where it would otherwise wait for the consumer's next
+// scheduling point.
+func (p *Pipeline) yieldToReaders(s int) {
+	for p.readers[s].Load() > 0 {
+		stdruntime.Gosched()
+	}
 }
 
 // stealFrom picks the victim with the longest backlog, excluding shard s.
@@ -508,19 +528,31 @@ func (p *Pipeline) Flush() Epoch {
 // WithShard runs fn while holding shard s's lock: consumers cannot apply to
 // that shard during fn, so fn sees (and may copy) a consistent snapshot of
 // the shard's state. The offer hot path is never blocked — producers keep
-// pushing into the rings.
+// pushing into the rings. The reader cuts in after the chunk in progress:
+// it announces itself before it locks, and consumers yield to it before
+// they drain the shard again.
 func (p *Pipeline) WithShard(s int, fn func()) {
-	p.shardMu[s].Lock()
+	p.lockForRead(s)
 	defer p.shardMu[s].Unlock()
 	fn()
 }
 
-// Freeze runs fn while holding every shard lock (taken in index order), so
-// fn sees a single cross-shard-consistent cut of the applied state; offered
-// but unapplied elements wait in the rings. It returns a fresh Epoch.
+// lockForRead takes shard s's lock for a reader, announced on the shard's
+// reader count while it waits so that drain lets it in after one chunk.
+func (p *Pipeline) lockForRead(s int) {
+	p.readers[s].Add(1)
+	p.shardMu[s].Lock()
+	p.readers[s].Add(-1)
+}
+
+// Freeze runs fn while holding every shard lock (taken in index order, each
+// as WithShard takes it, so each shard stops after its chunk in progress),
+// so fn sees a single cross-shard-consistent cut of the applied state;
+// offered but unapplied elements wait in the rings. It returns a fresh
+// Epoch.
 func (p *Pipeline) Freeze(fn func()) Epoch {
 	for s := range p.shardMu {
-		p.shardMu[s].Lock()
+		p.lockForRead(s)
 	}
 	defer func() {
 		for s := len(p.shardMu) - 1; s >= 0; s-- {

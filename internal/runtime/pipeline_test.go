@@ -486,3 +486,118 @@ func TestPipelineConfigValidation(t *testing.T) {
 		}
 	}
 }
+
+// spinSink keeps handoffWork's result observable, so the loop is not
+// optimized away.
+var spinSink atomic.Uint64
+
+// handoffWork is a fixed amount of arithmetic with no memory traffic, so a
+// chunk costs about the same with and without the race detector.
+func handoffWork(n int) {
+	h := uint64(1)
+	for i := 0; i < n; i++ {
+		h = h*6364136223846793005 + 1442695040888963407
+	}
+	spinSink.Add(h)
+}
+
+// TestPipelineReaderHandoff pins the reader handoff: a reader asking for a
+// saturated shard's lock gets it after the chunk in progress, not after the
+// hundreds of chunks a consumer that re-locks at once can apply while the
+// reader waits. One shard is kept saturated, each Apply does a fixed amount
+// of work, and each of 300 reads counts the chunks applied between its call
+// and its fn; its 99th percentile must be at most 4 chunks. (The bound is
+// on the percentile, not the maximum: an OS that deschedules the reader's
+// thread between its count and its call, seen about once in 3,000 reads
+// under -race on a 2-vCPU VM, makes that one read count every chunk
+// applied meanwhile. A consumer that re-locks at once puts the median
+// itself far above the bound.) TryWithShard gets a QueryWait of a few
+// chunk-times. Where it gives up (on a loaded machine a descheduled
+// consumer can stretch the chunk in progress past the wait) the count runs
+// to its return, so a consumer that re-locked for chunk after chunk fails
+// the bound either way; at least one read must get in.
+func TestPipelineReaderHandoff(t *testing.T) {
+	const (
+		reads    = 300
+		work     = 50_000 // iterations of handoffWork per chunk
+		maxDelay = 4      // chunks, at the 99th percentile
+	)
+	for _, mode := range []string{"WithShard", "TryWithShard"} {
+		t.Run(mode, func(t *testing.T) {
+			var chunks atomic.Uint64
+			p, err := Start(Config{
+				Shards:    1,
+				Producers: 1,
+				RingSize:  1024,
+				ChunkCap:  64,
+				RouteLive: routeEach(func(int64) int { return 0 }),
+				Apply: func(int, []int64) {
+					handoffWork(work)
+					chunks.Add(1)
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				pr := p.Producer(0)
+				batch := make([]int64, 256)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if err := pr.OfferBatch(batch); err != nil {
+						return
+					}
+				}
+			}()
+			defer func() {
+				close(stop)
+				wg.Wait()
+				p.Close()
+			}()
+
+			// A chunk-time, measured under the same load the reads see.
+			for chunks.Load() < 4 {
+				time.Sleep(100 * time.Microsecond)
+			}
+			c0, t0 := chunks.Load(), time.Now() //robust:nondet sizes the bounded wait, never reaches pipeline state
+			for chunks.Load() < c0+20 {
+				time.Sleep(100 * time.Microsecond)
+			}
+			chunkTime := time.Since(t0) / time.Duration(chunks.Load()-c0) //robust:nondet sizes the bounded wait, never reaches pipeline state
+			queryWait := 8 * chunkTime
+
+			// Nothing allocates between reading before and the call, so no
+			// GC assist can delay the reader's announcement.
+			delays := make([]uint64, 0, reads)
+			gaveUp := 0
+			var before uint64
+			fn := func() { delays = append(delays, chunks.Load()-before) }
+			for i := 0; i < reads; i++ {
+				before = chunks.Load()
+				if mode == "WithShard" {
+					p.WithShard(0, fn)
+				} else if !p.TryWithShard(0, queryWait, fn) {
+					delays = append(delays, chunks.Load()-before)
+					gaveUp++
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+			slices.Sort(delays)
+			q := func(f float64) uint64 { return delays[int(f*float64(len(delays)-1))] }
+			t.Logf("chunks between call and fn: p50 %d, p90 %d, p99 %d, max %d (chunk-time %v, %d reads gave up after %v)",
+				q(0.5), q(0.9), q(0.99), q(1), chunkTime, gaveUp, queryWait)
+			if q(0.99) > maxDelay || gaveUp == reads {
+				t.Fatalf("readers waited p99 %d chunks for the lock (p90 %d, max %d), want <= %d; %d of %d reads gave up",
+					q(0.99), q(0.9), q(1), maxDelay, gaveUp, reads)
+			}
+		})
+	}
+}

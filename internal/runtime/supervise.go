@@ -85,28 +85,36 @@ func (p *Pipeline) ShardLost(s int) uint64 { return p.lost[s].Load() }
 
 // TryWithShard is WithShard with bounded waiting: it runs fn under shard
 // s's lock if the lock can be had within wait (a single attempt when wait
-// <= 0), and reports whether fn ran. A shard whose consumer is stalled
-// mid-apply keeps its lock for the duration of the stall; degraded reads
-// use TryWithShard to skip such shards instead of blocking behind them.
+// <= 0), and reports whether fn ran. Like WithShard it announces itself
+// while it waits, so a busy consumer lets it in after the chunk in
+// progress. A shard whose consumer is stalled mid-apply keeps its lock for
+// the duration of the stall; degraded reads use TryWithShard to skip such
+// shards instead of blocking behind them.
 func (p *Pipeline) TryWithShard(s int, wait time.Duration, fn func()) bool {
+	if !p.tryLockForRead(s, wait) {
+		return false
+	}
+	defer p.shardMu[s].Unlock()
+	fn()
+	return true
+}
+
+// tryLockForRead is lockForRead giving up after wait. It polls on the
+// offers' wait schedule (idleWait): yields, then short sleeps. Polling
+// with yields alone reads worse: E20's degraded reads completed less
+// often, since a yielding reader queues behind every runnable goroutine
+// while a sleeping one is woken promptly by its timer.
+func (p *Pipeline) tryLockForRead(s int, wait time.Duration) bool {
 	mu := &p.shardMu[s]
-	if !mu.TryLock() {
-		if wait <= 0 {
+	p.readers[s].Add(1)
+	defer p.readers[s].Add(-1)
+	deadline := time.Now().Add(wait) //robust:nondet lock-acquisition deadline only; never reaches sampler or verdict state
+	spin := 0
+	for !mu.TryLock() {
+		if !time.Now().Before(deadline) { //robust:nondet lock-acquisition deadline only; never reaches sampler or verdict state
 			return false
 		}
-		deadline := time.Now().Add(wait) //robust:nondet lock-acquisition deadline only; never reaches sampler or verdict state
-		spin := 0
-		for {
-			idleWait(&spin)
-			if mu.TryLock() {
-				break
-			}
-			if time.Now().After(deadline) { //robust:nondet lock-acquisition deadline only; never reaches sampler or verdict state
-				return false
-			}
-		}
+		idleWait(&spin)
 	}
-	defer mu.Unlock()
-	fn()
 	return true
 }

@@ -99,6 +99,16 @@ const minBlockLen = 64
 // in time sublinear in the number of distinct values (see the package
 // comment).
 //
+// Every distinct value gets a compression slot, and the value -> slot index
+// sits on the per-element hot path, so it takes whichever of two forms is
+// the smaller. It starts as an epoch-stamped open-addressing table (16 B
+// per probe slot). When that table would grow to at least (U+1)/4 probe
+// slots, a flat table over [0, U] (4 B per value, one indexed load per
+// lookup) takes its place instead, so the flat table is never larger than
+// the probe table it replaces; Reserve makes the same choice up front.
+// Values outside [0, U] stay in the probe table either way. Slot order, and
+// so Max and the snapshot bytes, does not depend on the form.
+//
 // The zero value is not valid; obtain one from SetSystem.NewAccumulator.
 // An Accumulator is not safe for concurrent use.
 type Accumulator struct {
@@ -106,10 +116,13 @@ type Accumulator struct {
 	universe int64
 
 	// Coordinate compression: every distinct value ever seen gets a slot.
-	// The index is a bespoke epoch-stamped open-addressing table: lookups
-	// cost one multiply-hash and usually one probe, and Reset invalidates
-	// every entry with a single epoch bump instead of a map clear — both
-	// matter because the index sits on the per-element hot path.
+	// flat maps a value in [0, universe] to slot+1 (0: unseen); it is nil
+	// until the switch described above. index, a bespoke epoch-stamped
+	// open-addressing table, holds every value flat does not cover: its
+	// lookups cost one multiply-hash and usually one probe, and Reset
+	// invalidates every entry with a single epoch bump instead of a map
+	// clear.
+	flat  []int32
 	index accIndex
 	vals  []int64 // slot -> value
 	cx    []int64 // slot -> multiplicity in the stream
@@ -161,18 +174,24 @@ func (s Singletons) NewAccumulator() *Accumulator { return newAccumulator(accSin
 func (s Suffixes) NewAccumulator() *Accumulator { return newAccumulator(accSuffixes, s.n) }
 
 // Reserve pre-sizes the compression tables for approximately distinct
-// distinct values, avoiding incremental map growth on the per-element hot
-// path, and fixes the block-length target at ~sqrt(distinct) up front. It is
-// a no-op unless the accumulator is still empty; on a Reset accumulator it
-// re-allocates only what the previous run's capacity cannot already serve,
-// so Monte-Carlo drivers reusing one engine across games allocate nothing
-// in steady state.
+// distinct values, avoiding incremental index growth on the per-element hot
+// path, and fixes the block-length target at ~sqrt(distinct) up front. The
+// index takes the form a grow would: the flat table when it is no larger
+// than the probe table distinct values need, that probe table otherwise. It
+// is a no-op unless the accumulator is still empty; on a Reset accumulator
+// it re-allocates only what the previous run's capacity cannot already
+// serve, so Monte-Carlo drivers reusing one engine across games allocate
+// nothing in steady state.
 func (a *Accumulator) Reserve(distinct int) {
-	if distinct <= 0 || len(a.vals) > 0 || a.index.live > 0 {
+	if distinct <= 0 || len(a.vals) > 0 {
 		return
 	}
-	if 2*distinct > len(a.index.keys) {
-		a.index.init(distinct)
+	if a.flat == nil && 2*distinct > len(a.index.keys) {
+		if size := probeSize(distinct); a.flatFits(size) {
+			a.flat = make([]int32, a.universe+1)
+		} else {
+			a.index.init(distinct)
+		}
 	}
 	if cap(a.vals) < distinct {
 		a.vals = make([]int64, 0, distinct)
@@ -186,11 +205,12 @@ func (a *Accumulator) Reserve(distinct int) {
 	}
 }
 
-// accIndex is the value -> slot table: open addressing with linear probing,
-// SplitMix-style multiply hashing, and epoch-stamped entries so that
-// invalidating the whole table (a new game on a reused accumulator) is one
-// epoch bump. A stale entry behaves exactly like an empty one; within an
-// epoch this is standard linear probing with no deletions.
+// accIndex is the probe form of the value -> slot index: open addressing
+// with linear probing, SplitMix-style multiply hashing, and epoch-stamped
+// entries so that invalidating the whole table (a new game on a reused
+// accumulator) is one epoch bump. A stale entry behaves exactly like an
+// empty one; within an epoch this is standard linear probing with no
+// deletions.
 type accIndex struct {
 	keys  []int64
 	meta  []uint64 // epoch<<32 | slot; live iff epoch matches
@@ -207,11 +227,17 @@ func hashKey(x int64) uint64 {
 	return h
 }
 
-func (ix *accIndex) init(capacity int) {
+// probeSize is the number of probe slots init gives capacity entries.
+func probeSize(capacity int) int {
 	size := 16
 	for size < 2*capacity {
 		size <<= 1
 	}
+	return size
+}
+
+func (ix *accIndex) init(capacity int) {
+	size := probeSize(capacity)
 	ix.keys = make([]int64, size)
 	ix.meta = make([]uint64, size)
 	ix.mask = uint64(size - 1)
@@ -246,9 +272,12 @@ func (ix *accIndex) lookup(x int64) (int32, bool) {
 	}
 }
 
+// full reports whether the next insert grows the table.
+func (ix *accIndex) full() bool { return ix.live >= len(ix.keys)*3/4 }
+
 // insert adds x -> slot; x must not be present this epoch.
 func (ix *accIndex) insert(x int64, slot int32) {
-	if ix.live >= len(ix.keys)*3/4 {
+	if ix.full() {
 		ix.grow()
 	}
 	h := hashKey(x) & ix.mask
@@ -276,11 +305,48 @@ func (ix *accIndex) grow() {
 	}
 }
 
+// flatFits reports whether the flat table (4 B per value of [0, U]) is no
+// larger than a probe table of size slots (16 B each): U+1 <= 4*size.
+func (a *Accumulator) flatFits(size int) bool {
+	return a.universe < 4*int64(size)
+}
+
+// lookup returns x's compression slot, if x has one.
+func (a *Accumulator) lookup(x int64) (int32, bool) {
+	if uint64(x) < uint64(len(a.flat)) {
+		s := a.flat[x]
+		return s - 1, s != 0
+	}
+	return a.index.lookup(x)
+}
+
+// flatSlot returns x's slot from the flat table, or -1 when the flat table
+// holds no slot for x. It inlines, so a bulk loop pays no call per hit.
+func (a *Accumulator) flatSlot(x int64) int32 {
+	if uint64(x) < uint64(len(a.flat)) {
+		return a.flat[x] - 1
+	}
+	return -1
+}
+
 // slot returns the compression slot for x, creating one on first sight.
+// It repeats lookup's two forms rather than calling it: slot is on the
+// game's per-round path, where that call cost ~10% of a point update.
 func (a *Accumulator) slot(x int64) int32 {
-	if i, ok := a.index.lookup(x); ok {
+	if uint64(x) < uint64(len(a.flat)) {
+		if s := a.flat[x]; s != 0 {
+			return s - 1
+		}
+	} else if i, ok := a.index.lookup(x); ok {
 		return i
 	}
+	return a.newSlot(x)
+}
+
+// newSlot gives x, which has no slot yet, the next one. A probe table that
+// would grow is replaced by the flat table instead when that is no larger
+// than the grown probe table.
+func (a *Accumulator) newSlot(x int64) int32 {
 	i := int32(len(a.vals))
 	if x < 0 || x >= 1<<31 {
 		a.unpackable = true
@@ -290,15 +356,48 @@ func (a *Accumulator) slot(x int64) int32 {
 	a.cs = append(a.cs, 0)
 	a.blockOf = append(a.blockOf, nil)
 	a.pending = append(a.pending, i)
-	a.index.insert(x, i)
+	if a.flat == nil && a.index.full() && a.flatFits(2*len(a.index.keys)) {
+		a.toFlat()
+		return i
+	}
+	if uint64(x) < uint64(len(a.flat)) {
+		a.flat[x] = i + 1
+	} else {
+		a.index.insert(x, i)
+	}
 	return i
+}
+
+// toFlat switches the index to the flat table: every slot's value in
+// [0, U] moves there, and the probe table is rebuilt at the size the
+// values outside [0, U] need.
+func (a *Accumulator) toFlat() {
+	a.flat = make([]int32, a.universe+1)
+	outside := 0
+	for i, v := range a.vals {
+		if uint64(v) < uint64(len(a.flat)) {
+			a.flat[v] = int32(i) + 1
+		} else {
+			outside++
+		}
+	}
+	a.index.init(outside)
+	for i, v := range a.vals {
+		if uint64(v) >= uint64(len(a.flat)) {
+			a.index.insert(v, int32(i))
+		}
+	}
 }
 
 // AddStream appends one element to the stream multiset.
 func (a *Accumulator) AddStream(x int64) {
-	s := a.slot(x)
-	a.cx[s]++
+	a.countStream(a.slot(x))
 	a.nx++
+}
+
+// countStream adds one stream copy to slot s and its block's aggregates.
+func (a *Accumulator) countStream(s int32) {
+	a.cx[s]++
 	if b := a.blockOf[s]; b != nil {
 		b.sumCx++
 		if a.cx[s] == 1 {
@@ -319,8 +418,13 @@ func (a *Accumulator) AddStream(x int64) {
 //robust:hotpath
 func (a *Accumulator) AddStreamBatch(xs []int64) {
 	for _, x := range xs {
-		a.AddStream(x)
+		s := a.flatSlot(x)
+		if s < 0 {
+			s = a.slot(x)
+		}
+		a.countStream(s)
 	}
+	a.nx += int64(len(xs))
 }
 
 // AddStreamAndSampleBatch ingests a run of elements into BOTH multisets:
@@ -332,7 +436,10 @@ func (a *Accumulator) AddStreamBatch(xs []int64) {
 //robust:hotpath
 func (a *Accumulator) AddStreamAndSampleBatch(xs []int64) {
 	for _, x := range xs {
-		s := a.slot(x)
+		s := a.flatSlot(x)
+		if s < 0 {
+			s = a.slot(x)
+		}
 		a.cx[s]++
 		a.cs[s]++
 		if b := a.blockOf[s]; b != nil {
@@ -367,7 +474,7 @@ func (a *Accumulator) AddSample(x int64) {
 // RemoveSample removes one copy of x from the sample multiset — the
 // reservoir eviction path. It panics if x is not currently in the sample.
 func (a *Accumulator) RemoveSample(x int64) {
-	i, ok := a.index.lookup(x)
+	i, ok := a.lookup(x)
 	if !ok || a.cs[i] == 0 {
 		panic("setsystem: RemoveSample of element not in sample")
 	}
@@ -387,11 +494,19 @@ func (a *Accumulator) StreamLen() int { return int(a.nx) }
 func (a *Accumulator) SampleLen() int { return int(a.ns) }
 
 // Reset clears the accumulator for a fresh stream, retaining allocations:
-// the compression tables keep their capacity (index invalidation is one
-// epoch bump) and retired blocks (slot and hull storage included) go to a
-// free list for the next run's placement, so a reused engine allocates
-// nothing in steady state.
+// the compression tables keep their capacity and form (the probe table is
+// invalidated by one epoch bump, the flat table by zeroing the entries of
+// the slots in use, O(distinct)) and retired blocks (slot and hull storage
+// included) go to a free list for the next run's placement, so a reused
+// engine allocates nothing in steady state.
 func (a *Accumulator) Reset() {
+	if a.flat != nil {
+		for _, v := range a.vals {
+			if uint64(v) < uint64(len(a.flat)) {
+				a.flat[v] = 0
+			}
+		}
+	}
 	a.index.reset()
 	a.vals = a.vals[:0]
 	a.cx = a.cx[:0]

@@ -1,10 +1,13 @@
 package setsystem
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"robustsample/internal/rng"
+	"robustsample/internal/snapshot"
 )
 
 func allSystems(n int64) []SetSystem {
@@ -214,14 +217,19 @@ func TestAccumulatorMultiBlockParity(t *testing.T) {
 
 // TestAccumulatorReusedAcrossRuns drives one accumulator through many
 // Reset/replay cycles (the Monte-Carlo per-worker reuse pattern, which also
-// switches small universes onto the dense epoch-stamped index) and demands
-// bit-exact parity with a freshly built accumulator and the one-shot on
-// every run.
+// switches small universes from the epoch-stamped probe table onto the
+// flat table, and keeps the flat table across Resets) and demands bit-exact
+// parity with a freshly built accumulator and the one-shot on every run.
+// Over U = 512 the switch comes with the 97th distinct value: the probe
+// table's grow from 128 to 256 slots (4 KB) would cost more than the flat
+// table over [0, 512] (2 KB).
 func TestAccumulatorReusedAcrossRuns(t *testing.T) {
-	const universe = 512
+	const universe, switchAt = 512, 97
 	r := rng.New(77)
+	forms := map[string]int{}
 	for _, sys := range allSystems(universe) {
 		reused := sys.NewAccumulator()
+		switched := false
 		for run := 0; run < 10; run++ {
 			reused.Reset()
 			fresh := sys.NewAccumulator()
@@ -249,11 +257,28 @@ func TestAccumulatorReusedAcrossRuns(t *testing.T) {
 			if got != want {
 				t.Fatalf("%s run %d: reused %v != fresh %v", sys.Name(), run, got, want)
 			}
+			distinct := len(fresh.vals)
+			switched = switched || distinct >= switchAt
+			wantFresh, wantReused := "probe", "probe"
+			if distinct >= switchAt {
+				wantFresh = "flat"
+			}
+			if switched {
+				wantReused = "flat"
+			}
+			if indexForm(fresh) != wantFresh || indexForm(reused) != wantReused {
+				t.Fatalf("%s run %d (%d distinct): fresh %s, reused %s index, want %s and %s",
+					sys.Name(), run, distinct, indexForm(fresh), indexForm(reused), wantFresh, wantReused)
+			}
+			forms[indexForm(fresh)]++
 			requireEqual(t, sys, got, sys.MaxDiscrepancy(stream, sample), stream, sample)
 			if reused.StreamLen() != len(stream) || reused.SampleLen() != len(sample) {
 				t.Fatalf("%s run %d: lengths %d/%d", sys.Name(), run, reused.StreamLen(), reused.SampleLen())
 			}
 		}
+	}
+	if forms["probe"] == 0 || forms["flat"] == 0 {
+		t.Fatalf("runs per index form %v, want both", forms)
 	}
 }
 
@@ -368,5 +393,277 @@ func BenchmarkAccumulatorCheckpoint(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		acc.AddStream(1 + r.Int63n(1<<20))
 		acc.Max()
+	}
+}
+
+// indexForm names the value -> slot index an accumulator holds.
+func indexForm(a *Accumulator) string {
+	if a.flat != nil {
+		return "flat"
+	}
+	return "probe"
+}
+
+// multisets mirrors an accumulator's stream and sample for one-shot
+// comparison.
+type multisets struct{ stream, sample []int64 }
+
+// play feeds steps random updates to acc and m (reservoir-like sample
+// admissions and evictions), checking parity with the one-shot every 97
+// steps and at the end. draw picks each stream value.
+func (m *multisets) play(t *testing.T, sys SetSystem, acc *Accumulator, r *rng.RNG, steps int, draw func() int64) {
+	t.Helper()
+	for step := 0; step < steps; step++ {
+		x := draw()
+		m.stream = append(m.stream, x)
+		acc.AddStream(x)
+		if r.Float64() < 0.3 {
+			if len(m.sample) > 8 && r.Float64() < 0.5 {
+				j := r.Intn(len(m.sample))
+				acc.RemoveSample(m.sample[j])
+				m.sample[j] = m.sample[len(m.sample)-1]
+				m.sample = m.sample[:len(m.sample)-1]
+			}
+			acc.AddSample(x)
+			m.sample = append(m.sample, x)
+		}
+		if step%97 == 0 || step == steps-1 {
+			requireEqual(t, sys, acc.Max(), sys.MaxDiscrepancy(m.stream, m.sample), m.stream, m.sample)
+		}
+	}
+}
+
+// merged is the union of two multisets.
+func merged(a, b multisets) multisets {
+	return multisets{
+		stream: append(append([]int64(nil), a.stream...), b.stream...),
+		sample: append(append([]int64(nil), a.sample...), b.sample...),
+	}
+}
+
+// TestAccumulatorIndexSwitchParity drives one accumulator per set system
+// from the probe table across the switch to the flat table, with values
+// <= 0 and > U mixed in (values outside [0, U] stay in the probe table), and
+// demands bit-exact parity with MaxDiscrepancy on both sides of the switch.
+// It then Resets the switched accumulator and reuses it, and merges and
+// copies between switched and unswitched accumulators.
+func TestAccumulatorIndexSwitchParity(t *testing.T) {
+	const universe = 4096
+	r := rng.New(2323)
+	draw := func() int64 {
+		switch r.Intn(16) {
+		case 0:
+			return -r.Int63n(8) // 0 and below
+		case 1:
+			return universe + 1 + r.Int63n(8)
+		}
+		return 1 + r.Int63n(universe)
+	}
+	for _, sys := range allSystems(universe) {
+		t.Run(sys.Name(), func(t *testing.T) {
+			acc := sys.NewAccumulator()
+			acc.blockB = 16 // many blocks, so slots are placed before and after the switch
+			var m multisets
+			// 32 probe slots grow at 3/4 load through 64, ..., 1024; at 768
+			// values the grow to 2048 slots (32 KB) would cost more than
+			// the flat table over [0, 4096] (16 KB), so the 769th distinct
+			// value switches the index.
+			m.play(t, sys, acc, r, 600, draw)
+			if indexForm(acc) != "probe" || len(acc.vals) > 768 {
+				t.Fatalf("%s index with %d distinct values after the first phase, want probe with <= 768",
+					indexForm(acc), len(acc.vals))
+			}
+			m.play(t, sys, acc, r, 1500, draw)
+			if indexForm(acc) != "flat" {
+				t.Fatalf("probe index with %d distinct values, want flat", len(acc.vals))
+			}
+			outside := 0
+			for _, v := range acc.vals {
+				if v < 0 || v > universe {
+					outside++
+				}
+			}
+			if outside == 0 || acc.index.live != outside {
+				t.Fatalf("probe table holds %d values after the switch, want the %d outside [0, U]", acc.index.live, outside)
+			}
+
+			acc.Reset()
+			if indexForm(acc) != "flat" || slices.ContainsFunc(acc.flat, func(s int32) bool { return s != 0 }) {
+				t.Fatal("Reset must keep the flat table and clear every entry")
+			}
+			m = multisets{}
+			m.play(t, sys, acc, r, 1200, draw)
+
+			small := sys.NewAccumulator()
+			var sm multisets
+			sm.play(t, sys, small, r, 60, draw)
+			if indexForm(small) != "probe" {
+				t.Fatalf("%d distinct values switched the index", len(small.vals))
+			}
+
+			// A probe accumulator that switches in the middle of a merge.
+			fresh := sys.NewAccumulator()
+			fresh.MergeFrom(small)
+			fresh.MergeFrom(acc)
+			want := merged(sm, m)
+			requireEqual(t, sys, fresh.Max(), sys.MaxDiscrepancy(want.stream, want.sample), want.stream, want.sample)
+			if indexForm(fresh) != "flat" {
+				t.Fatal("merging a switched accumulator left the probe index")
+			}
+			// A switched accumulator merging an unswitched one.
+			acc.MergeFrom(small)
+			requireEqual(t, sys, acc.Max(), sys.MaxDiscrepancy(want.stream, want.sample), want.stream, want.sample)
+
+			// Copies in both directions.
+			cp := sys.NewAccumulator()
+			cp.CopyFrom(acc)
+			requireEqual(t, sys, cp.Max(), sys.MaxDiscrepancy(want.stream, want.sample), want.stream, want.sample)
+			acc.CopyFrom(small)
+			requireEqual(t, sys, acc.Max(), sys.MaxDiscrepancy(sm.stream, sm.sample), sm.stream, sm.sample)
+			if indexForm(acc) != "flat" || indexForm(cp) != "flat" {
+				t.Fatalf("copies hold %s and %s indexes, want flat", indexForm(acc), indexForm(cp))
+			}
+		})
+	}
+}
+
+// TestAccumulatorSnapshotIndexForms checks AppendSnapshot -> LoadSnapshot ->
+// AppendSnapshot byte identity and SampleCount agreement on both index
+// forms, values outside [1, U] included.
+func TestAccumulatorSnapshotIndexForms(t *testing.T) {
+	const universe = 4096
+	r := rng.New(31)
+	draw := func() int64 { return r.Int63n(universe+17) - 8 } // [-8, U+8]
+	for _, tc := range []struct {
+		steps int
+		form  string
+	}{{100, "probe"}, {3000, "flat"}} {
+		for _, sys := range allSystems(universe) {
+			acc := sys.NewAccumulator()
+			var m multisets
+			m.play(t, sys, acc, r, tc.steps, draw)
+			if indexForm(acc) != tc.form {
+				t.Fatalf("%s: %d steps gave a %s index, want %s", sys.Name(), tc.steps, indexForm(acc), tc.form)
+			}
+			s1 := acc.AppendSnapshot(nil)
+			restored := sys.NewAccumulator()
+			if err := restored.LoadSnapshot(snapshot.NewReader(s1)); err != nil {
+				t.Fatal(err)
+			}
+			if s2 := restored.AppendSnapshot(nil); !bytes.Equal(s1, s2) {
+				t.Fatalf("%s/%s: snapshot not bit-identical after restore", sys.Name(), tc.form)
+			}
+			if indexForm(restored) != tc.form {
+				t.Fatalf("%s: restored into a %s index, want %s", sys.Name(), indexForm(restored), tc.form)
+			}
+			for v := int64(-10); v <= universe+10; v++ {
+				if got, want := restored.SampleCount(v), acc.SampleCount(v); got != want {
+					t.Fatalf("%s/%s: SampleCount(%d) = %d after restore, want %d", sys.Name(), tc.form, v, got, want)
+				}
+			}
+			if got, want := restored.Max(), acc.Max(); got != want {
+				t.Fatalf("%s/%s: restored verdict %v != %v", sys.Name(), tc.form, got, want)
+			}
+		}
+	}
+}
+
+// TestAccumulatorFlatBatchAllocs pins AddStreamBatch at zero allocations
+// on the flat table.
+func TestAccumulatorFlatBatchAllocs(t *testing.T) {
+	const universe = 4096
+	r := rng.New(5)
+	acc := NewPrefixes(universe).NewAccumulator()
+	batch := make([]int64, 1024)
+	for i := range batch {
+		batch[i] = 1 + r.Int63n(universe)
+	}
+	for i := 0; i < 4; i++ {
+		acc.AddStreamBatch(batch)
+	}
+	acc.Max()
+	if indexForm(acc) != "flat" {
+		t.Fatalf("%d distinct values kept the probe index", len(acc.vals))
+	}
+	if n := testing.AllocsPerRun(100, func() { acc.AddStreamBatch(batch) }); n != 0 {
+		t.Fatalf("AddStreamBatch on the flat table: %v allocs/run, want 0", n)
+	}
+}
+
+// TestAccumulatorFlatNeverLarger asserts the switch rule: an accumulator
+// holds a flat table only where the probe table it replaced — the grown
+// table a grow would have built, or the table Reserve would have sized —
+// is at least as large (16 B per probe slot against 4 B per flat entry). It
+// also pins which form each of the repository's workloads takes.
+func TestAccumulatorFlatNeverLarger(t *testing.T) {
+	check := func(t *testing.T, universe int64, distinct int) {
+		t.Helper()
+		acc := NewPrefixes(universe).NewAccumulator()
+		for v := int64(1); v <= int64(distinct) && v <= universe; v++ {
+			probeBefore := len(acc.index.keys)
+			acc.AddStream(v)
+			if acc.flat != nil {
+				if replaced := 2 * probeBefore; 4*len(acc.flat) > 16*replaced {
+					t.Fatalf("U=%d: flat table of %d B replaced a %d B probe table", universe, 4*len(acc.flat), 16*replaced)
+				}
+				return
+			}
+		}
+		reserved := NewPrefixes(universe).NewAccumulator()
+		reserved.Reserve(distinct)
+		if reserved.flat != nil && 4*len(reserved.flat) > 16*probeSize(distinct) {
+			t.Fatalf("U=%d: Reserve(%d) built a flat table of %d B against a %d B probe table",
+				universe, distinct, 4*len(reserved.flat), 16*probeSize(distinct))
+		}
+	}
+	for universe := int64(1); universe <= 5000; universe += 37 {
+		for _, distinct := range []int{1, 24, 25, 100, 1000, 5000} {
+			check(t, universe, distinct)
+		}
+	}
+
+	form := func(universe int64, values int, reserve int) string {
+		acc := NewPrefixes(universe).NewAccumulator()
+		acc.Reserve(reserve)
+		for v := 0; v < values; v++ {
+			acc.AddStream(1 + int64(v)*universe/int64(values))
+		}
+		return indexForm(acc)
+	}
+	for _, tc := range []struct {
+		name            string
+		universe        int64
+		values, reserve int
+		want            string
+	}{
+		{"serve shard (1,024 of 4,096 values)", 1 << 12, 1024, 0, "flat"},
+		{"serve merged verdict (all 4,096 values)", 1 << 12, 4096, 0, "flat"},
+		{"game (U=2^20, n=2*10^4, reserved)", 1 << 20, 20000, 20000, "probe"},
+	} {
+		if got := form(tc.universe, tc.values, tc.reserve); got != tc.want {
+			t.Errorf("%s: %s index, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// BenchmarkAccumulatorAddStreamBatch measures the serve shard's apply: a
+// 1,024-element batch into an accumulator holding 1,024 of the 4,096
+// values of [1, 4096] (one of four hash-routed shards), on the flat table.
+func BenchmarkAccumulatorAddStreamBatch(b *testing.B) {
+	const universe = 4096
+	r := rng.New(3)
+	acc := NewPrefixes(universe).NewAccumulator()
+	xs := make([]int64, 1<<16)
+	for i := range xs {
+		xs[i] = 1 + 4*r.Int63n(universe/4)
+	}
+	acc.AddStreamBatch(xs)
+	acc.Max()
+	b.SetBytes(1024 * 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := i * 1024 % len(xs)
+		acc.AddStreamBatch(xs[off : off+1024])
 	}
 }

@@ -52,17 +52,29 @@ func FuzzIntervalDiscrepancyMatchesBrute(f *testing.F) {
 // and demands bit-exact parity — error AND witness — with the one-shot
 // MaxDiscrepancy, for all four set systems. Small forced block lengths keep
 // the multi-block machinery (offset pass, hull queries, splits, witness
-// rescans) in play even on short inputs.
+// rescans) in play even on short inputs. Values range over [-3, 28] around
+// the universe [1, 24], so values <= 0 and > U (which stay in the probe
+// table) mix with values in [0, U], and a sequence's 25th distinct value
+// switches the index from the probe table to the flat table mid-sequence.
 func FuzzAccumulatorParity(f *testing.F) {
 	f.Add([]byte{0x01, 0x42, 0x83, 0xc4, 0x05, 0x46})
 	f.Add([]byte{0x81, 0x81, 0x81, 0x41, 0x01})
 	f.Add([]byte{0xff, 0x00, 0x7f, 0x80, 0x3c, 0xbd, 0xbd})
 	f.Add([]byte{})
+	// Every value once, with checkpoints before, at and after the switch.
+	all := []byte{0xe0}
+	for b := byte(0); b < 32; b++ {
+		all = append(all, b, 0x80|(31-b))
+		if b%8 == 7 || b == 24 {
+			all = append(all, 0xff)
+		}
+	}
+	f.Add(append(all, 0xc3, 0xc9, 0x05, 0xff))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 256 {
 			return
 		}
-		const universe = 32
+		const universe = 24
 		systems := []SetSystem{
 			NewPrefixes(universe), NewIntervals(universe),
 			NewSingletons(universe), NewSuffixes(universe),
@@ -72,7 +84,7 @@ func FuzzAccumulatorParity(f *testing.F) {
 			acc.blockB = 3
 			var stream, sample []int64
 			for i, b := range data {
-				x := int64(b&0x1f) + 1 // value in [1, 32]
+				x := int64(b&0x1f) - 3 // value in [-3, 28]
 				switch op := b >> 5; {
 				case op <= 3: // AddStream (weighted: streams dominate)
 					stream = append(stream, x)

@@ -35,7 +35,10 @@ func (a *Accumulator) MergeFrom(other *Accumulator) {
 			// no stream mass contributes nothing to any verdict.
 			continue
 		}
-		s := a.slot(v)
+		s := a.flatSlot(v)
+		if s < 0 {
+			s = a.slot(v)
+		}
 		a.cx[s] += cx
 		a.cs[s] += cs
 		if b := a.blockOf[s]; b != nil {

@@ -33,7 +33,7 @@ func (a *Accumulator) AppendSnapshot(buf []byte) []byte {
 // Restore paths use it to cross-check a decoded accumulator against the
 // decoded sampler it must stay in lockstep with.
 func (a *Accumulator) SampleCount(x int64) int64 {
-	if s, ok := a.index.lookup(x); ok {
+	if s, ok := a.lookup(x); ok {
 		return a.cs[s]
 	}
 	return 0

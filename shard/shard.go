@@ -438,9 +438,19 @@ func (e *Engine[T]) OfferBatch(xs []T) (int, error) {
 	return e.inner.OfferBatch(buf), nil
 }
 
+// batchEncoder is a universe that encodes a whole batch in one call (the
+// int64 range universes of sketch); other universes are encoded element by
+// element.
+type batchEncoder[T any] interface {
+	EncodeBatch(dst []int64, xs []T) ([]int64, error)
+}
+
 // encode appends the encoded xs to buf, failing on the first element
 // outside the universe (callers then submit nothing).
 func (e *Engine[T]) encode(buf []int64, xs []T) ([]int64, error) {
+	if be, ok := e.u.(batchEncoder[T]); ok {
+		return be.EncodeBatch(buf, xs)
+	}
 	for _, x := range xs {
 		p, err := e.u.Encode(x)
 		if err != nil {

@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"slices"
 	"testing"
@@ -274,5 +275,95 @@ func TestStringShardEngine(t *testing.T) {
 	slices.Sort(want)
 	if !slices.Equal(got, want) {
 		t.Fatalf("union sample %v != stream %v", got, want)
+	}
+}
+
+// countingUniverse is a Universe[int64] that counts its Encode calls: batch
+// offers must encode it element by element.
+type countingUniverse struct{ encodes *int }
+
+func (countingUniverse) Size() int64 { return 100 }
+
+func (u countingUniverse) Encode(x int64) (int64, error) {
+	*u.encodes++
+	if x < 1 || x > 100 {
+		return 0, sketch.ErrOutOfUniverse
+	}
+	return x, nil
+}
+
+func (countingUniverse) Decode(p int64) (int64, error) { return p, nil }
+
+// TestOfferBatchEncodeIsAtomic pins batch encoding on both ingest paths.
+// Over the int64 range universes (negative lo included) a value outside the
+// range first, in the middle or last fails the whole Engine.OfferBatch and
+// Producer.OfferBatch with ErrOutOfUniverse, and Rounds does not move (for
+// the session, after Flush). A custom universe is still encoded element by
+// element through its Encode.
+func TestOfferBatchEncodeIsAtomic(t *testing.T) {
+	for _, u := range []sketch.Universe[int64]{
+		mustU(sketch.NewInt64Universe(1000)),
+		mustU(sketch.NewInt64Range(-500, 499)),
+	} {
+		lo, _ := u.Decode(1)
+		hi, _ := u.Decode(u.Size())
+		good := []int64{lo, lo + 1, (lo + hi) / 2, hi - 1, hi}
+		e, err := shard.New(u, shard.WithShards(2), shard.WithReservoir(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.OfferBatch(good); err != nil {
+			t.Fatal(err)
+		}
+		var bads [][]int64 // good with one value outside inserted first, in the middle or last
+		for _, bad := range []int64{lo - 1, hi + 1} {
+			for _, at := range []int{0, len(good) / 2, len(good)} {
+				bads = append(bads, slices.Insert(slices.Clone(good), at, bad))
+			}
+		}
+		for _, batch := range bads {
+			if _, err := e.OfferBatch(batch); !errors.Is(err, sketch.ErrOutOfUniverse) || e.Rounds() != len(good) {
+				t.Fatalf("[%d, %d] Engine.OfferBatch(%v): err %v, rounds %d, want ErrOutOfUniverse and %d",
+					lo, hi, batch, err, e.Rounds(), len(good))
+			}
+		}
+
+		srv, err := e.Serve(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr, err := srv.Producer(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, batch := range bads {
+			err := pr.OfferBatch(batch)
+			srv.Flush()
+			if !errors.Is(err, sketch.ErrOutOfUniverse) || srv.Rounds() != len(good) {
+				t.Fatalf("[%d, %d] Producer.OfferBatch(%v): err %v, rounds %d, want ErrOutOfUniverse and %d",
+					lo, hi, batch, err, srv.Rounds(), len(good))
+			}
+		}
+		if err := pr.OfferBatch(good); err != nil {
+			t.Fatal(err)
+		}
+		srv.Flush()
+		if srv.Rounds() != 2*len(good) {
+			t.Fatalf("rounds %d after a good batch, want %d", srv.Rounds(), 2*len(good))
+		}
+		srv.Close()
+	}
+
+	encodes := 0
+	e, err := shard.New[int64](countingUniverse{&encodes}, shard.WithShards(2), shard.WithReservoir(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.OfferBatch([]int64{1, 2, 3}); err != nil || encodes != 3 {
+		t.Fatalf("OfferBatch: %d Encode calls (err %v), want 3", encodes, err)
+	}
+	encodes = 0
+	if _, err := e.OfferBatch([]int64{1, 200, 3}); !errors.Is(err, sketch.ErrOutOfUniverse) || encodes != 2 || e.Rounds() != 3 {
+		t.Fatalf("failing OfferBatch: %d Encode calls, rounds %d (err %v), want 2, 3 and ErrOutOfUniverse", encodes, e.Rounds(), err)
 	}
 }

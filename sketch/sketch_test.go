@@ -3,6 +3,7 @@ package sketch_test
 import (
 	"bytes"
 	"errors"
+	"math"
 	"slices"
 	"testing"
 
@@ -603,5 +604,102 @@ func TestWeightedSketch(t *testing.T) {
 	}
 	if s.Len() != 10 {
 		t.Fatalf("merged size %d, want 10", s.Len())
+	}
+}
+
+// batchEncoder is the structural interface the batch offers look for.
+type batchEncoder interface {
+	EncodeBatch(dst, xs []int64) ([]int64, error)
+}
+
+// TestInt64BatchEncode pins the int64 range universes' batch encoding: its
+// points equal per-element Encode (negative lo and the int64 extremes
+// included), and a value outside the range anywhere in the batch appends
+// nothing and returns Encode's error for the first such value.
+func TestInt64BatchEncode(t *testing.T) {
+	for _, c := range []struct{ lo, hi int64 }{
+		{1, 100},
+		{-50, 49},
+		{math.MinInt64, math.MinInt64 + 99},
+		{math.MaxInt64 - 99, math.MaxInt64},
+	} {
+		var u sketch.Universe[int64]
+		if c.lo == 1 {
+			u = mustU(sketch.NewInt64Universe(c.hi))
+		} else {
+			u = mustU(sketch.NewInt64Range(c.lo, c.hi))
+		}
+		be, ok := u.(batchEncoder)
+		if !ok {
+			t.Fatalf("[%d, %d]: universe has no batch encoding", c.lo, c.hi)
+		}
+		xs := make([]int64, 0, 100)
+		for x := c.lo; ; x++ {
+			xs = append(xs, x)
+			if x == c.hi {
+				break
+			}
+		}
+		dst := []int64{-7}
+		got, err := be.EncodeBatch(dst, xs)
+		if err != nil {
+			t.Fatalf("[%d, %d]: %v", c.lo, c.hi, err)
+		}
+		for i, x := range xs {
+			if p, err := u.Encode(x); err != nil || got[1+i] != p {
+				t.Fatalf("[%d, %d]: batch point %d of %d, Encode gives %d (%v)", c.lo, c.hi, got[1+i], x, p, err)
+			}
+		}
+		if got[0] != -7 {
+			t.Fatal("EncodeBatch overwrote dst's prefix")
+		}
+		for _, bad := range []int64{c.lo - 1, c.hi + 1} {
+			if bad == c.hi+1 && c.hi == math.MaxInt64 || bad == c.lo-1 && c.lo == math.MinInt64 {
+				continue // no value beyond this end
+			}
+			_, want := u.Encode(bad)
+			for _, at := range []int{0, len(xs) / 2, len(xs)} {
+				batch := slices.Insert(slices.Clone(xs), at, bad)
+				batch = append(batch, bad-1, bad+1) // later bad values must not be the one reported
+				got, err := be.EncodeBatch(dst, batch)
+				if !errors.Is(err, sketch.ErrOutOfUniverse) || err.Error() != want.Error() || len(got) != len(dst) {
+					t.Fatalf("[%d, %d]: %d at %d gave %d points and %v, want none and %v", c.lo, c.hi, bad, at, len(got)-len(dst), err, want)
+				}
+			}
+		}
+	}
+}
+
+// countingUniverse is a Universe[int64] outside this package: batch offers
+// must encode it element by element through Encode.
+type countingUniverse struct{ encodes *int }
+
+func (countingUniverse) Size() int64 { return 100 }
+
+func (u countingUniverse) Encode(x int64) (int64, error) {
+	*u.encodes++
+	if x < 1 || x > 100 {
+		return 0, sketch.ErrOutOfUniverse
+	}
+	return x, nil
+}
+
+func (countingUniverse) Decode(p int64) (int64, error) { return p, nil }
+
+func TestOfferBatchCustomUniverseEncodesPerElement(t *testing.T) {
+	encodes := 0
+	s, err := sketch.NewReservoir[int64](countingUniverse{&encodes}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.OfferBatch([]int64{1, 2, 3, 4, 5}); err != nil || encodes != 5 {
+		t.Fatalf("OfferBatch: %d Encode calls (err %v), want 5", encodes, err)
+	}
+	encodes = 0
+	if _, err := s.OfferBatch([]int64{1, 200, 3}); !errors.Is(err, sketch.ErrOutOfUniverse) || encodes != 2 {
+		t.Fatalf("failing OfferBatch: %d Encode calls (err %v), want 2 and ErrOutOfUniverse", encodes, err)
+	}
+	if s.Rounds() != 5 {
+		t.Fatalf("rounds %d after a failed batch, want 5", s.Rounds())
 	}
 }

@@ -36,16 +36,29 @@ func newBase[T any](u Universe[T], opts []Option) (base[T], error) {
 
 func (b *base[T]) reset() { b.rng = rng.New(b.seed) }
 
+// batchEncoder is a universe that encodes a whole batch in one call (the
+// int64 range universes); other universes are encoded element by element.
+type batchEncoder[T any] interface {
+	EncodeBatch(dst []int64, xs []T) ([]int64, error)
+}
+
 // encodeBatch encodes xs into a buffer reused across calls; it fails before
 // any ingest if any element is outside the universe (atomic batches).
 func (b *base[T]) encodeBatch(xs []T) ([]int64, error) {
 	buf := b.encBuf[:0]
-	for _, x := range xs {
-		p, err := b.u.Encode(x)
-		if err != nil {
+	if be, ok := b.u.(batchEncoder[T]); ok {
+		var err error
+		if buf, err = be.EncodeBatch(buf, xs); err != nil {
 			return nil, err
 		}
-		buf = append(buf, p)
+	} else {
+		for _, x := range xs {
+			p, err := b.u.Encode(x)
+			if err != nil {
+				return nil, err
+			}
+			buf = append(buf, p)
+		}
 	}
 	b.encBuf = buf
 	return buf, nil

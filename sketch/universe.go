@@ -52,9 +52,40 @@ func (u int64Range) Size() int64 { return u.hi - u.lo + 1 }
 
 func (u int64Range) Encode(x int64) (int64, error) {
 	if x < u.lo || x > u.hi {
-		return 0, fmt.Errorf("%w: %d not in [%d, %d]", ErrOutOfUniverse, x, u.lo, u.hi)
+		return 0, u.outside(x)
 	}
 	return x - u.lo + 1, nil
+}
+
+// EncodeBatch appends the points of xs to dst, as Encode would one by one:
+// one pass checks the range, a second applies the shift. The batch is
+// atomic: if any value is outside [lo, hi] it appends nothing and returns
+// Encode's error for the first such value. The ingest paths of this package
+// and of shard reach it through a structural interface, so other universes
+// keep their per-element Encode.
+//
+//robust:hotpath
+func (u int64Range) EncodeBatch(dst, xs []int64) ([]int64, error) {
+	span := uint64(u.hi) - uint64(u.lo)
+	for _, x := range xs {
+		if uint64(x)-uint64(u.lo) > span {
+			return dst, u.outside(x)
+		}
+	}
+	n := len(dst)
+	dst = append(dst, xs...)
+	if shift := 1 - u.lo; shift != 0 {
+		for i := n; i < len(dst); i++ {
+			dst[i] += shift
+		}
+	}
+	return dst, nil
+}
+
+// outside is Encode's error for x, formatted out of line so that the batch
+// path does not format errors inline.
+func (u int64Range) outside(x int64) error {
+	return fmt.Errorf("%w: %d not in [%d, %d]", ErrOutOfUniverse, x, u.lo, u.hi)
 }
 
 func (u int64Range) Decode(p int64) (int64, error) {
