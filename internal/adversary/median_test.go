@@ -90,7 +90,7 @@ func TestMedianPusherShardedFallback(t *testing.T) {
 	newEngine := func() *shard.Engine {
 		return shard.New(shard.Config{
 			Shards: 3,
-			Router: shard.Uniform{},
+			Router: shard.Uniform,
 			System: sys,
 			NewSampler: func(int) game.Sampler {
 				return sampler.NewReservoir[int64](12)

@@ -72,8 +72,60 @@ func TestEveryExperimentRunsAndRenders(t *testing.T) {
 					t.Fatalf("%s render missing column %q", e.ID, col)
 				}
 			}
+			if check := rowChecks[e.ID]; check != nil {
+				check(t, tab)
+			}
 		})
 	}
+}
+
+// rowChecks pin the cells of the serving tables that repeat from run to run
+// (the other cells are timings or follow scheduling): every E19
+// determinism row reproduces serial ingest, and E20's recovery row
+// reproduces it with nothing lost after at least the six scheduled crashes,
+// each restored once.
+var rowChecks = map[string]func(*testing.T, *Table){
+	"E19": func(t *testing.T, tab *Table) {
+		n := 0
+		for _, row := range tab.Rows {
+			if cell(t, tab, row, "arm") != "determinism" {
+				continue
+			}
+			n++
+			if got := cell(t, tab, row, "identical"); got != "true" {
+				t.Errorf("E19 determinism row %v: identical=%s, want true", row, got)
+			}
+		}
+		if n == 0 {
+			t.Error("E19 has no determinism rows")
+		}
+	},
+	"E20": func(t *testing.T, tab *Table) {
+		row := tab.Rows[0]
+		if cell(t, tab, row, "arm") != "recovery" {
+			t.Fatalf("E20's first row %v is not the recovery row", row)
+		}
+		crashes, err := strconv.Atoi(cell(t, tab, row, "crashes"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cell(t, tab, row, "identical") != "true" || cell(t, tab, row, "lost") != "0" ||
+			crashes < 6 || cell(t, tab, row, "restores") != cell(t, tab, row, "crashes") {
+			t.Errorf("E20 recovery row %v: want identical=true, lost=0, crashes >= 6 and restores = crashes", row)
+		}
+	},
+}
+
+// cell returns row's cell under column col.
+func cell(t *testing.T, tab *Table, row []string, col string) string {
+	t.Helper()
+	for i, c := range tab.Columns {
+		if c == col {
+			return row[i]
+		}
+	}
+	t.Fatalf("%s has no column %q", tab.ID, col)
+	return ""
 }
 
 func TestExperimentsDeterministic(t *testing.T) {

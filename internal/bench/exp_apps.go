@@ -18,7 +18,6 @@ import (
 	"robustsample/internal/rng"
 	"robustsample/internal/sampler"
 	"robustsample/internal/setsystem"
-	"robustsample/internal/shard"
 	"robustsample/internal/stats"
 )
 
@@ -308,12 +307,12 @@ func ExpE12(cfg Config) *Table {
 		predicted := predictedRoutingEps(k, n, logCard, 0.1)
 		runs := []struct {
 			name string
-			run  func(r *rng.RNG) *shard.Engine
+			run  func(r *rng.RNG) *routingCluster
 		}{
-			{"uniform", func(r *rng.RNG) *shard.Engine { return routeUniform(k, n, expUniverse, r) }},
-			{"drift", func(r *rng.RNG) *shard.Engine { return routeDrift(k, n, expUniverse, r) }},
-			{"adaptive-unbounded", func(r *rng.RNG) *shard.Engine { return routeAdaptiveAttack(k, n, r) }},
-			{"adaptive-bounded-U", func(r *rng.RNG) *shard.Engine { return routeBoundedAdaptiveAttack(k, n, expUniverse, r) }},
+			{"uniform", func(r *rng.RNG) *routingCluster { return routeUniform(k, n, expUniverse, r) }},
+			{"drift", func(r *rng.RNG) *routingCluster { return routeDrift(k, n, expUniverse, r) }},
+			{"adaptive-unbounded", func(r *rng.RNG) *routingCluster { return routeAdaptiveAttack(k, n, r) }},
+			{"adaptive-bounded-U", func(r *rng.RNG) *routingCluster { return routeBoundedAdaptiveAttack(k, n, expUniverse, r) }},
 		}
 		for _, ru := range runs {
 			kss := make([]float64, cfg.trials())
@@ -330,17 +329,42 @@ func ExpE12(cfg Config) *Table {
 	return t
 }
 
-// newRoutingCluster returns E12's cluster: a routing-only shard engine
-// sending each query to one of k servers uniformly at random and recording
-// every server's substream. Routing draws from streams split off r.
-func newRoutingCluster(k int, r *rng.RNG) *shard.Engine {
-	return shard.New(shard.Config{Shards: k, Router: shard.Uniform{}, RecordStreams: true}, r)
+// routingCluster is E12's cluster: each query goes to one of k servers
+// uniformly at random, and every server's substream is kept as it arrives.
+type routingCluster struct {
+	route   *rng.RNG // routing draws
+	stream  []int64
+	servers [][]int64
+}
+
+// newRoutingCluster builds a k-server cluster that routes from the first
+// split of r. It then takes k more splits of r, one per server: E12's
+// committed rows depend on where r's later draws start.
+func newRoutingCluster(k int, r *rng.RNG) *routingCluster {
+	c := &routingCluster{route: r.Split(), servers: make([][]int64, k)}
+	for range k {
+		r.Split()
+	}
+	return c
+}
+
+// offer routes x to a uniformly random server and returns that server.
+func (c *routingCluster) offer(x int64) int {
+	s := c.route.Intn(len(c.servers))
+	c.add(x, s)
+	return s
+}
+
+// add sends x to server s.
+func (c *routingCluster) add(x int64, s int) {
+	c.stream = append(c.stream, x)
+	c.servers[s] = append(c.servers[s], x)
 }
 
 // serverKS returns the KS distance between server i's substream and the
 // full stream; 0 is perfectly representative.
-func serverKS(c *shard.Engine, i int) float64 {
-	return stats.KSDistanceInt64(c.Stream(), c.Substream(i))
+func serverKS(c *routingCluster, i int) float64 {
+	return stats.KSDistanceInt64(c.stream, c.servers[i])
 }
 
 // predictedRoutingEps inverts the Theorem 1.2 Bernoulli bound for routing
@@ -360,10 +384,10 @@ func predictedRoutingEps(k, n int, logCard, delta float64) float64 {
 }
 
 // routeUniform routes n i.i.d. uniform queries over [1, universe].
-func routeUniform(k, n int, universe int64, r *rng.RNG) *shard.Engine {
+func routeUniform(k, n int, universe int64, r *rng.RNG) *routingCluster {
 	c := newRoutingCluster(k, r)
 	for i := 0; i < n; i++ {
-		c.Offer(1 + r.Int63n(universe))
+		c.offer(1 + r.Int63n(universe))
 	}
 	return c
 }
@@ -371,14 +395,14 @@ func routeUniform(k, n int, universe int64, r *rng.RNG) *shard.Engine {
 // routeDrift routes n queries whose distribution drifts linearly across
 // the universe (environmental change, not adversarial intent): query i is
 // uniform over a window centered at (i/n)*universe.
-func routeDrift(k, n int, universe int64, r *rng.RNG) *shard.Engine {
+func routeDrift(k, n int, universe int64, r *rng.RNG) *routingCluster {
 	c := newRoutingCluster(k, r)
 	window := max(universe/10, 1)
 	for i := 0; i < n; i++ {
 		center := int64(float64(i) / float64(n) * float64(universe))
 		lo := max(center-window/2, 1)
 		hi := min(lo+window, universe)
-		c.Offer(lo + r.Int63n(hi-lo+1))
+		c.offer(lo + r.Int63n(hi-lo+1))
 	}
 	return c
 }
@@ -388,7 +412,7 @@ func routeDrift(k, n int, universe int64, r *rng.RNG) *shard.Engine {
 // query landed on (admission = "landed on server 0") and picks the next
 // query accordingly. Routing stays uniformly random; only the queries are
 // adversarial.
-func routeAdaptiveAttack(k, n int, r *rng.RNG) *shard.Engine {
+func routeAdaptiveAttack(k, n int, r *rng.RNG) *routingCluster {
 	routes := make([]int, n)
 	res := adversary.RunExactBisectionFunc(n, func(round int) bool {
 		s := r.Intn(k)
@@ -397,7 +421,7 @@ func routeAdaptiveAttack(k, n int, r *rng.RNG) *shard.Engine {
 	})
 	c := newRoutingCluster(k, r)
 	for i, x := range res.Stream {
-		c.RouteTo(x, routes[i])
+		c.add(x, routes[i])
 	}
 	return c
 }
@@ -406,7 +430,7 @@ func routeAdaptiveAttack(k, n int, r *rng.RNG) *shard.Engine {
 // universe [1, universe] with the int64 bisection adversary, which keeps
 // submitting boundary values once it exhausts its precision: the
 // hash-discretized-queries defense row.
-func routeBoundedAdaptiveAttack(k, n int, universe int64, r *rng.RNG) *shard.Engine {
+func routeBoundedAdaptiveAttack(k, n int, universe int64, r *rng.RNG) *routingCluster {
 	pp := math.Max(1/float64(k), math.Log(float64(n))/float64(n))
 	if pp >= 1 {
 		pp = 0.5
@@ -420,8 +444,7 @@ func routeBoundedAdaptiveAttack(k, n int, universe int64, r *rng.RNG) *shard.Eng
 		obs := game.Observation{Round: i, N: n, History: history, LastAdmitted: lastAdmitted}
 		x := bi.Next(obs, r)
 		history = append(history, x)
-		s, _ := c.Offer(x)
-		lastAdmitted = s == 0
+		lastAdmitted = c.offer(x) == 0
 	}
 	return c
 }

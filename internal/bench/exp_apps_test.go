@@ -6,17 +6,65 @@ import (
 	"testing"
 
 	"robustsample/internal/rng"
-	"robustsample/internal/shard"
 )
 
 // maxServerKS returns the worst per-server KS distance of a k-server
 // cluster.
-func maxServerKS(c *shard.Engine, k int) float64 {
+func maxServerKS(c *routingCluster, k int) float64 {
 	worst := 0.0
 	for i := 0; i < k; i++ {
 		worst = max(worst, serverKS(c, i))
 	}
 	return worst
+}
+
+// TestRoutingClusterMatchesOracle checks E12's cluster against a routing
+// oracle outside it: offer sends each query to Intn(k) on the first split
+// of the seed, add places a query at its given server without a routing
+// draw, and each server keeps its queries in arrival order while the full
+// stream keeps them all. The seed's own draws resume after k+1 splits,
+// where E12's rows expect them.
+func TestRoutingClusterMatchesOracle(t *testing.T) {
+	const k, n = 3, 500
+	r := rng.New(7)
+	c := newRoutingCluster(k, r)
+	oracle := rng.New(7)
+	route := oracle.Split()
+	for range k {
+		oracle.Split()
+	}
+	if got, want := r.Uint64(), oracle.Uint64(); got != want {
+		t.Fatalf("seed resumes at %#x after newRoutingCluster, want %#x", got, want)
+	}
+
+	var stream []int64
+	want := make([][]int64, k)
+	for i := range n {
+		x := int64(i)
+		s := route.Intn(k)
+		if got := c.offer(x); got != s {
+			t.Fatalf("query %d routed to server %d, oracle says %d", i, got, s)
+		}
+		stream = append(stream, x)
+		want[s] = append(want[s], x)
+	}
+	for s := range k {
+		x := int64(n + s)
+		c.add(x, s)
+		stream = append(stream, x)
+		want[s] = append(want[s], x)
+	}
+	if got, next := c.route.Uint64(), route.Uint64(); got != next {
+		t.Fatal("add drew from the routing stream")
+	}
+	if !slices.Equal(c.stream, stream) {
+		t.Fatal("cluster stream differs from the offered stream")
+	}
+	for s := range k {
+		if !slices.Equal(c.servers[s], want[s]) {
+			t.Fatalf("server %d holds %d queries, oracle routed %d there", s, len(c.servers[s]), len(want[s]))
+		}
+	}
 }
 
 // TestUniformWorkloadRepresentative: uniform queries are not adversarial,
@@ -57,15 +105,15 @@ func TestAdaptiveAttackBreaksTargetServer(t *testing.T) {
 func TestAdaptiveAttackSparesOtherServers(t *testing.T) {
 	const k = 8
 	c := routeAdaptiveAttack(k, 20000, rng.New(6))
-	target := c.Substream(0)
+	target := c.servers[0]
 	if len(target) == 0 {
 		t.Fatal("target server received no queries")
 	}
 	targetMax := slices.Max(target)
 	targetKS := serverKS(c, 0)
-	share := float64(len(target)) / float64(len(c.Stream()))
+	share := float64(len(target)) / float64(len(c.stream))
 	for i := 1; i < k; i++ {
-		if sub := c.Substream(i); len(sub) > 0 && slices.Min(sub) <= targetMax {
+		if sub := c.servers[i]; len(sub) > 0 && slices.Min(sub) <= targetMax {
 			t.Fatalf("server %d holds %d, not above server 0's largest %d", i, slices.Min(sub), targetMax)
 		}
 		if ks := serverKS(c, i); ks > share+0.05 || ks >= targetKS {

@@ -54,7 +54,7 @@ const servingBytesPerElem = 88
 func servingEngine(root *rng.RNG) *shard.Engine {
 	return shard.New(shard.Config{
 		Shards: servingShards,
-		Router: shard.HashByValue{},
+		Router: shard.HashByValue,
 		System: setsystem.NewPrefixes(servingUniverse),
 		NewSampler: func(int) game.Sampler {
 			return sampler.NewReservoir[int64](servingMemory)

@@ -17,7 +17,7 @@ import (
 
 const shardedUniverse = int64(1 << 16)
 
-func newShardedEngine(shards, k, workers int, router shard.Router, record bool) *shard.Engine {
+func newShardedEngine(shards, k, workers int, router shard.Router) *shard.Engine {
 	return shard.New(shard.Config{
 		Shards: shards,
 		Router: router,
@@ -25,8 +25,7 @@ func newShardedEngine(shards, k, workers int, router shard.Router, record bool) 
 		NewSampler: func(int) game.Sampler {
 			return sampler.NewReservoir[int64](k)
 		},
-		Workers:       workers,
-		RecordStreams: record,
+		Workers: workers,
 	}, nil)
 }
 
@@ -37,7 +36,7 @@ func newShardedEngine(shards, k, workers int, router shard.Router, record bool) 
 func TestRunShardedVerdictsMatchOneShot(t *testing.T) {
 	sys := setsystem.NewPrefixes(shardedUniverse)
 	for _, router := range shard.Routers() {
-		eng := newShardedEngine(3, 20, 1, router, true)
+		eng := newShardedEngine(3, 20, 1, router)
 		n := 4000
 		cps := game.MustCheckpoints(1, n, 0.05)
 		res := game.RunSharded(eng, adversary.NewStaticUniform(shardedUniverse), n, 0.5, cps, rng.New(17))
@@ -45,7 +44,7 @@ func TestRunShardedVerdictsMatchOneShot(t *testing.T) {
 			t.Fatalf("%s: %d checkpoint errors, want %d", router.Name(), len(res.PrefixErrors), len(cps))
 		}
 		// Replay: same engine seed, same stream, stop at each checkpoint.
-		replay := newShardedEngine(3, 20, 1, router, true)
+		replay := newShardedEngine(3, 20, 1, router)
 		r := rng.New(17)
 		replay.StartGame(r)
 		played := 0
@@ -73,7 +72,7 @@ func TestRunShardedByteIdenticalAcrossWorkersAndChunks(t *testing.T) {
 	defer func(old int) { game.SpanChunkCap = old }(game.SpanChunkCap)
 	run := func(workers, chunk int) game.ContinuousResult {
 		game.SpanChunkCap = chunk
-		eng := newShardedEngine(5, 15, workers, shard.Uniform{}, false)
+		eng := newShardedEngine(5, 15, workers, shard.Uniform)
 		n := 3000
 		return game.RunSharded(eng, adversary.NewStaticUniform(shardedUniverse), n, 0.5,
 			game.MustCheckpoints(1, n, 0.1), rng.New(23))
@@ -97,13 +96,12 @@ func TestRunShardedAdaptivePath(t *testing.T) {
 	sys := setsystem.NewPrefixes(shardedUniverse)
 	eng := shard.New(shard.Config{
 		Shards: 3,
-		Router: shard.Uniform{},
+		Router: shard.Uniform,
 		System: sys,
 		NewSampler: func(int) game.Sampler {
 			return sampler.NewReservoir[int64](10)
 		},
-		Workers:       1,
-		RecordStreams: true,
+		Workers: 1,
 	}, nil)
 	n := 800
 	res := game.RunSharded(eng, adversary.NewMedianPusher(shardedUniverse), n, 0.9,
@@ -162,7 +160,7 @@ func (w *deltaWatcher) Next(obs game.Observation, r *rng.RNG) int64 {
 // TestRunShardedReportsNoDelta: the coordinator's union sample has no
 // per-round delta, so RunSharded must never set Observation.DeltaKnown.
 func TestRunShardedReportsNoDelta(t *testing.T) {
-	eng := newShardedEngine(3, 10, 1, shard.Uniform{}, false)
+	eng := newShardedEngine(3, 10, 1, shard.Uniform)
 	w := &deltaWatcher{}
 	n := 300
 	game.RunSharded(eng, w, n, 0.5, game.MustCheckpoints(1, n, 0.1), rng.New(5))

@@ -612,7 +612,11 @@ func (a *Accumulator) placePending() {
 }
 
 // sortPacked sorts packed (value, slot) words ascending: insertion sort for
-// short runs, LSD radix over the four value bytes above the break-even.
+// short runs, and above the break-even an LSD radix sort on the value
+// bytes, one stable 8-bit pass per byte the largest value uses (two for
+// values below 2^12, three below 2^20), as radixSort counts its passes for
+// the one-shot path. Packed values are never negative, so the count needs
+// no offset from the smallest.
 func (a *Accumulator) sortPacked(buf []uint64) {
 	if len(buf) <= 48 {
 		for i := 1; i < len(buf); i++ {
@@ -631,14 +635,19 @@ func (a *Accumulator) sortPacked(buf []uint64) {
 	}
 	tmp := a.radixBuf[:len(buf)]
 	var counts [4][256]int
+	var or uint64
 	for _, v := range buf {
+		or |= v
 		counts[0][byte(v>>32)]++
 		counts[1][byte(v>>40)]++
 		counts[2][byte(v>>48)]++
 		counts[3][byte(v>>56)]++
 	}
+	passes := 0
+	for ; passes < 4 && or>>(32+8*passes) != 0; passes++ {
+	}
 	src, dst := buf, tmp
-	for pass := 0; pass < 4; pass++ {
+	for pass := 0; pass < passes; pass++ {
 		c := &counts[pass]
 		pos := 0
 		for i := range c {
@@ -654,7 +663,9 @@ func (a *Accumulator) sortPacked(buf []uint64) {
 		}
 		src, dst = dst, src
 	}
-	// Four passes: the sorted order ends back in buf (src == buf).
+	if passes%2 == 1 {
+		copy(buf, src) // the sorted run ended in the scratch buffer
+	}
 }
 
 // mergeInto merges the sorted group of new slots into the block's sorted

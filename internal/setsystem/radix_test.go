@@ -53,6 +53,33 @@ func TestRadixSortMatchesSlicesSort(t *testing.T) {
 	}
 }
 
+// TestSortPackedMatchesSlicesSort checks the accumulator's packed-word sort
+// against slices.Sort, at the insertion-sort break-even and above it, for
+// values in [0, span) with spans from one byte to the packable maximum (one
+// to four radix passes, odd counts ending in the scratch buffer). Each
+// word's slot is its input position, so a stable sort gives exactly
+// slices.Sort's order even where a value repeats.
+func TestSortPackedMatchesSlicesSort(t *testing.T) {
+	r := rng.New(15)
+	a := &Accumulator{} // one scratch buffer across cases, as in use
+	for _, span := range []int64{1 << 8, 1 << 12, 1 << 20, 1<<31 - 1} {
+		for _, n := range []int{48, 49, 1000, 4096} {
+			t.Run(fmt.Sprintf("span=%d/n=%d", span, n), func(t *testing.T) {
+				buf := make([]uint64, n)
+				for i := range buf {
+					buf[i] = uint64(r.Int63n(span))<<32 | uint64(i)
+				}
+				want := slices.Clone(buf)
+				slices.Sort(want)
+				a.sortPacked(buf)
+				if !slices.Equal(buf, want) {
+					t.Fatal("sortPacked disagrees with slices.Sort")
+				}
+			})
+		}
+	}
+}
+
 // TestCdfScanLargeMatchesAccumulator compares the one-shot verdicts, whose
 // sorts run on the radix path at these sizes, with the incremental engine,
 // which never sorts the multisets: error and witness must agree exactly.

@@ -23,7 +23,7 @@ func BenchmarkMergedVerdict(b *testing.B) {
 			b.Run(fmt.Sprintf("U=2^%d/S=%d", bits.Len64(uint64(universe))-1, S), func(b *testing.B) {
 				eng := New(Config{
 					Shards: S,
-					Router: Uniform{},
+					Router: Uniform,
 					System: setsystem.NewPrefixes(universe),
 					NewSampler: func(int) game.Sampler {
 						return sampler.NewReservoir[int64](2048)
@@ -65,13 +65,12 @@ func benchReingest(b *testing.B, n int, universe int64) {
 	sys := setsystem.NewPrefixes(universe)
 	eng := New(Config{
 		Shards: 4,
-		Router: Uniform{},
+		Router: Uniform,
 		System: sys,
 		NewSampler: func(int) game.Sampler {
 			return sampler.NewReservoir[int64](2048)
 		},
-		Workers:       1,
-		RecordStreams: true,
+		Workers: 1,
 	}, rng.New(1))
 	gen := rng.New(2)
 	stream := make([]int64, n)
@@ -84,7 +83,7 @@ func benchReingest(b *testing.B, n int, universe int64) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		acc.Reset()
-		acc.AddStreamBatch(eng.Stream())
+		acc.AddStreamBatch(stream)
 		for _, v := range eng.SampleView() {
 			acc.AddSample(v)
 		}
@@ -111,7 +110,7 @@ func BenchmarkShardedIngest(b *testing.B) {
 		b.Run(fmt.Sprintf("S=%d", S), func(b *testing.B) {
 			eng := New(Config{
 				Shards: S,
-				Router: Uniform{},
+				Router: Uniform,
 				System: setsystem.NewPrefixes(universe),
 				NewSampler: func(int) game.Sampler {
 					return sampler.NewReservoir[int64](2048)

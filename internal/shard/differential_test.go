@@ -43,8 +43,7 @@ func TestGlobalVerdictMatchesOneShotMaxDiscrepancy(t *testing.T) {
 							NewSampler: func(int) game.Sampler {
 								return sampler.NewReservoir[int64](40)
 							},
-							Workers:       workers,
-							RecordStreams: true,
+							Workers: workers,
 						}, root)
 						gen := rng.New(7)
 						stream := make([]int64, n)
@@ -67,14 +66,14 @@ func TestGlobalVerdictMatchesOneShotMaxDiscrepancy(t *testing.T) {
 								played++
 							}
 							if checkAt[played] {
-								compareVerdict(t, sys, eng)
+								compareVerdict(t, sys, eng, stream[:played])
 							}
 						}
 						for played < n {
 							eng.OfferBatch(stream[played:min(played+997, n)])
 							played = min(played+997, n)
 						}
-						compareVerdict(t, sys, eng)
+						compareVerdict(t, sys, eng, stream)
 					})
 				}
 			}
@@ -82,10 +81,12 @@ func TestGlobalVerdictMatchesOneShotMaxDiscrepancy(t *testing.T) {
 	}
 }
 
-func compareVerdict(t *testing.T, sys setsystem.SetSystem, eng *Engine) {
+// compareVerdict checks the merged verdict against the one-shot
+// discrepancy of the stream offered so far against the union sample.
+func compareVerdict(t *testing.T, sys setsystem.SetSystem, eng *Engine, offered []int64) {
 	t.Helper()
 	got := eng.Verdict()
-	want := sys.MaxDiscrepancy(eng.Stream(), eng.Sample())
+	want := sys.MaxDiscrepancy(offered, eng.Sample())
 	if got != want {
 		t.Fatalf("merged verdict %+v differs from one-shot %+v at round %d", got, want, eng.Rounds())
 	}
@@ -93,14 +94,19 @@ func compareVerdict(t *testing.T, sys setsystem.SetSystem, eng *Engine) {
 
 // TestEngineByteIdenticalAcrossWorkerCounts runs the same seeded game on
 // worker pools of different sizes and requires identical samples, verdicts,
-// and substreams: shard ingest parallelism must never leak into results.
+// and per-shard rounds and verdicts: shard ingest parallelism must never
+// leak into results.
 func TestEngineByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	const universe = 1 << 20
 	sys := setsystem.NewIntervals(universe)
-	run := func(workers int) ([]int64, [][]int64, setsystem.Discrepancy) {
+	type shardOut struct {
+		Rounds  int
+		Verdict setsystem.Discrepancy
+	}
+	run := func(workers int) ([]int64, []shardOut, setsystem.Discrepancy) {
 		eng := New(Config{
 			Shards: 6,
-			Router: Uniform{},
+			Router: Uniform,
 			System: sys,
 			NewSampler: func(i int) game.Sampler {
 				if i%2 == 0 {
@@ -108,8 +114,7 @@ func TestEngineByteIdenticalAcrossWorkerCounts(t *testing.T) {
 				}
 				return sampler.NewBernoulli[int64](0.01)
 			},
-			Workers:       workers,
-			RecordStreams: true,
+			Workers: workers,
 		}, rng.New(5))
 		gen := rng.New(11)
 		for i := 0; i < 40; i++ {
@@ -119,20 +124,20 @@ func TestEngineByteIdenticalAcrossWorkerCounts(t *testing.T) {
 			}
 			eng.OfferBatch(xs)
 		}
-		subs := make([][]int64, eng.NumShards())
-		for i := range subs {
-			subs[i] = append([]int64(nil), eng.Substream(i)...)
+		shards := make([]shardOut, eng.NumShards())
+		for i := range shards {
+			shards[i] = shardOut{eng.ShardRounds(i), eng.ShardVerdict(i)}
 		}
-		return eng.Sample(), subs, eng.Verdict()
+		return eng.Sample(), shards, eng.Verdict()
 	}
-	baseSample, baseSubs, baseVerdict := run(1)
+	baseSample, baseShards, baseVerdict := run(1)
 	for _, workers := range []int{0, 3, 16} {
-		s, subs, v := run(workers)
+		s, shards, v := run(workers)
 		if !reflect.DeepEqual(s, baseSample) {
 			t.Fatalf("workers=%d: sample differs from serial", workers)
 		}
-		if !reflect.DeepEqual(subs, baseSubs) {
-			t.Fatalf("workers=%d: substreams differ from serial", workers)
+		if !reflect.DeepEqual(shards, baseShards) {
+			t.Fatalf("workers=%d: per-shard rounds or verdicts differ from serial", workers)
 		}
 		if v != baseVerdict {
 			t.Fatalf("workers=%d: verdict %+v differs from serial %+v", workers, v, baseVerdict)
@@ -155,7 +160,7 @@ func TestEngineChunkingInvariance(t *testing.T) {
 	run := func(chunks []int) ([]int64, setsystem.Discrepancy) {
 		eng := New(Config{
 			Shards: 4,
-			Router: RoundRobin{},
+			Router: RoundRobin,
 			System: sys,
 			NewSampler: func(int) game.Sampler {
 				return sampler.NewReservoir[int64](30)

@@ -16,7 +16,7 @@ func fuzzEngine() *Engine {
 	// ingests, two verdicts) stays cheap enough for real throughput.
 	e := New(Config{
 		Shards:     3,
-		Router:     Uniform{},
+		Router:     Uniform,
 		System:     setsystem.NewIntervals(1 << 8),
 		NewSampler: func(int) game.Sampler { return sampler.NewReservoir[int64](8) },
 		Workers:    1,

@@ -195,7 +195,7 @@ func (sup *supervisor) apply(si int, xs []int64) {
 	if sup.plan != nil && faults.Poisoned(xs) {
 		panic(faults.ErrPoisonedBatch)
 	}
-	sup.e.applyShard(sh, xs)
+	applyShard(sh, xs)
 	if sup.det {
 		ss.journal = append(ss.journal, append([]int64(nil), xs...))
 	}
@@ -261,7 +261,7 @@ func (sup *supervisor) restore(si int) {
 	ss.sinceCkpt = 0
 	if sup.det {
 		for _, chunk := range ss.journal {
-			sup.e.applyShard(sh, chunk)
+			applyShard(sh, chunk)
 			ss.sinceCkpt += len(chunk)
 		}
 	} else if lost := pre - sh.rounds; lost > 0 {

@@ -35,18 +35,9 @@ var (
 // per-shard RNG streams, so merging is deterministic given the receiver's
 // seed. On error the receiver may be partially merged (the public surface
 // validates configurations up front, making the checks here invariants).
-//
-// Engines recording streams cannot merge (there is no meaningful global
-// order for the union), and both engines must carry samplers.
 func (e *Engine) MergeFromEngine(other *Engine) error {
 	if len(e.shards) != len(other.shards) {
 		return fmt.Errorf("%w: %d vs %d shards", ErrMergeShape, len(e.shards), len(other.shards))
-	}
-	if e.cfg.RecordStreams || other.cfg.RecordStreams {
-		return fmt.Errorf("%w: stream-recording engines cannot merge", ErrMergeShape)
-	}
-	if e.cfg.NewSampler == nil || other.cfg.NewSampler == nil {
-		return fmt.Errorf("%w: routing-only engines cannot merge", ErrMergeShape)
 	}
 	for i, sh := range e.shards {
 		if err := e.mergeShard(sh, other.shards[i]); err != nil {

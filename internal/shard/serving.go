@@ -41,10 +41,8 @@ import (
 	"robustsample/internal/setsystem"
 )
 
-// ErrServeUnsupported reports an engine configuration Serve cannot run
-// concurrently (stream recording needs a global element order, which a
-// concurrent ingest has only in deterministic mode — and there the recorded
-// order would duplicate what the producers already hold).
+// ErrServeUnsupported reports an engine Serve cannot run: one that was never
+// seeded (StartGame first).
 var ErrServeUnsupported = errors.New("shard: engine configuration does not support serving")
 
 // ServeConfig sizes the ingest pipeline.
@@ -93,26 +91,22 @@ type Serving struct {
 	qmu     sync.Mutex             // serializes queries (shared scratch accumulators)
 	scratch *setsystem.Accumulator // ShardVerdict copy target
 
-	routeMu     sync.Mutex // serializes routing state against Freeze (deterministic / fallback routers)
+	routeMu     sync.Mutex // serializes deterministic routing against Freeze
 	startRounds int
 	startShard  []int         // per-shard rounds at Serve time (Health resolution without supervision)
 	queryWait   time.Duration // degraded reads' per-shard lock wait bound
 	liveRound   atomic.Int64  // live RoundRobin ticket
-	fallback    int           // fallback router round counter, under routeMu
 
 	closeOnce sync.Once     // the first completed drain syncs the engine's counters
 	closeEp   runtime.Epoch // that drain's epoch, returned by every later close
 }
 
 // Serve starts a concurrent ingest pipeline over the engine. The engine
-// must be seeded (StartGame) and must not record streams; it must not be
-// touched directly — including by its own OfferBatch/Offer/Verdict — until
-// the returned Serving is Closed, which drains the pipeline and syncs the
-// engine's counters so serial use can resume.
+// must be seeded (StartGame); it must not be touched directly — including
+// by its own OfferBatch/Offer/Verdict — until the returned Serving is
+// Closed, which drains the pipeline and syncs the engine's counters so
+// serial use can resume.
 func (e *Engine) Serve(cfg ServeConfig) (*Serving, error) {
-	if e.cfg.RecordStreams {
-		return nil, fmt.Errorf("%w: RecordStreams engines ingest serially", ErrServeUnsupported)
-	}
 	if e.routerRNG == nil {
 		return nil, fmt.Errorf("%w: engine is not seeded (StartGame first)", ErrServeUnsupported)
 	}
@@ -143,7 +137,7 @@ func (e *Engine) Serve(cfg ServeConfig) (*Serving, error) {
 		ChunkCap:      cfg.ChunkCap,
 		Deterministic: cfg.Deterministic,
 		Apply: func(si int, xs []int64) {
-			e.applyShard(e.shards[si], xs)
+			applyShard(e.shards[si], xs)
 		},
 	}
 	if cfg.CheckpointEvery > 0 {
@@ -163,11 +157,8 @@ func (e *Engine) Serve(cfg ServeConfig) (*Serving, error) {
 		rcfg.RouteSerial = func(x int64) int {
 			s.routeMu.Lock()
 			round++
-			si := e.router.Route(x, round, len(e.shards), e.routerRNG)
+			si := e.cfg.Router.Route(x, round, len(e.shards), e.routerRNG)
 			s.routeMu.Unlock()
-			if si < 0 || si >= len(e.shards) {
-				panic("shard: router returned out-of-range shard")
-			}
 			return si
 		}
 	} else {
@@ -194,11 +185,9 @@ type uniformLane struct {
 
 // liveRouter builds the producer-side route for live mode: one function
 // per router, routing a run of elements (a single-element offer routes a
-// run of one). The three in-repo routers route without shared mutable
-// state: per-lane RNG streams split from the engine's routing stream for
-// Uniform, a pure hash for HashByValue, an atomic ticket for RoundRobin.
-// Unknown Router implementations fall back to a lock around the serial
-// routing path, taken once per run.
+// run of one). Each routes without shared mutable state: per-lane RNG
+// streams split from the engine's routing stream for Uniform, a pure hash
+// for HashByValue, an atomic ticket for RoundRobin.
 //
 // Each route does a run's worth of work at once: HashByValue hashes in
 // unrolled groups of 8 with one bounds check per group, RoundRobin claims
@@ -208,7 +197,7 @@ type uniformLane struct {
 // stream is consumed exactly as per-element Intn calls would).
 func (e *Engine) liveRouter(s *Serving, producers int) func(int, []int64, []int) {
 	S := len(e.shards)
-	switch e.router.(type) {
+	switch e.cfg.Router {
 	case Uniform:
 		lanes := make([]*uniformLane, producers)
 		for i := range lanes {
@@ -253,7 +242,7 @@ func (e *Engine) liveRouter(s *Serving, producers int) func(int, []int64, []int)
 			runtime.RouteHashBatch(xs, dst, S)
 		}
 		return route
-	case RoundRobin:
+	default: // RoundRobin
 		//robust:hotpath
 		route := func(_ int, _ []int64, dst []int) {
 			// One atomic add claims the whole ticket run.
@@ -264,19 +253,6 @@ func (e *Engine) liveRouter(s *Serving, producers int) func(int, []int64, []int)
 			}
 		}
 		return route
-	default:
-		return func(_ int, xs []int64, dst []int) {
-			s.routeMu.Lock()
-			defer s.routeMu.Unlock()
-			for i, x := range xs {
-				s.fallback++
-				si := e.router.Route(x, s.fallback, S, e.routerRNG)
-				if si < 0 || si >= S {
-					panic("shard: router returned out-of-range shard")
-				}
-				dst[i] = si
-			}
-		}
 	}
 }
 
@@ -315,9 +291,6 @@ func (s *Serving) Verdict() setsystem.Discrepancy {
 func (s *Serving) ShardVerdict(i int) setsystem.Discrepancy {
 	e := s.e
 	sh := e.shards[i]
-	if sh.sampler == nil {
-		panic("shard: ShardVerdict requires samplers (routing-only engine)")
-	}
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
 	if s.scratch == nil {

@@ -41,7 +41,7 @@ func TestServingChaosDeterministicBitIdentical(t *testing.T) {
 	stream := servingStream(n, 1234)
 
 	// Serial reference.
-	serial := chaosEngine(S, RoundRobin{}, 7)
+	serial := chaosEngine(S, RoundRobin, 7)
 	serial.OfferBatch(stream)
 	want := observe(serial.Verdict(), serial)
 
@@ -59,7 +59,7 @@ func TestServingChaosDeterministicBitIdentical(t *testing.T) {
 			DelayFor:      50 * time.Microsecond,
 		}},
 	} {
-		eng := chaosEngine(S, RoundRobin{}, 7)
+		eng := chaosEngine(S, RoundRobin, 7)
 		var plan *faults.Plan
 		scfg := ServeConfig{
 			Producers: P, Deterministic: true,
@@ -130,7 +130,7 @@ func TestServingChaosLiveBoundedLoss(t *testing.T) {
 		every   = 512
 		chunk   = 48
 	)
-	eng := chaosEngine(S, Uniform{}, 21)
+	eng := chaosEngine(S, Uniform, 21)
 	plan := faults.MustPlan(faults.Spec{
 		Seed:          31,
 		CrashOrdinals: [][]uint64{{2, 40}, {3}, {5, 60}},
@@ -244,7 +244,7 @@ func TestServingChaosLiveBoundedLoss(t *testing.T) {
 //robust:nondet wall-clock soak deadlines and latency bounds; none reach sampler or verdict state
 func TestServingChaosQueriesNeverBlock(t *testing.T) {
 	const stall = 300 * time.Millisecond
-	eng := chaosEngine(2, RoundRobin{}, 5)
+	eng := chaosEngine(2, RoundRobin, 5)
 	plan := faults.MustPlan(faults.Spec{
 		Seed: 3, StallProb: 1, StallFor: stall, MaxPerShard: 3,
 	}, 2)
@@ -312,7 +312,7 @@ func TestServingChaosQueriesNeverBlock(t *testing.T) {
 // stalled, answer from nothing (an empty sample), and draw nothing from
 // the caller's RNG.
 func TestServingChaosNoShardReachable(t *testing.T) {
-	eng := chaosEngine(1, RoundRobin{}, 5)
+	eng := chaosEngine(1, RoundRobin, 5)
 	srv, err := eng.Serve(ServeConfig{QueryWait: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -366,7 +366,7 @@ func TestServingChaosNoShardReachable(t *testing.T) {
 // consumer wedged in a long stall cannot hang CloseCtx past its context,
 // and the engine's counters are synced only once the drain really ends.
 func TestServingChaosCloseCtxDeadline(t *testing.T) {
-	eng := chaosEngine(1, RoundRobin{}, 5)
+	eng := chaosEngine(1, RoundRobin, 5)
 	plan := faults.MustPlan(faults.Spec{
 		Seed: 3, StallProb: 1, StallFor: 500 * time.Millisecond, MaxPerShard: 1,
 	}, 1)
@@ -400,7 +400,7 @@ func TestServingChaosCloseCtxDeadline(t *testing.T) {
 // session keeps serving.
 func TestServingChaosHardCorruptDrops(t *testing.T) {
 	const n = 512
-	eng := chaosEngine(1, RoundRobin{}, 5)
+	eng := chaosEngine(1, RoundRobin, 5)
 	plan := faults.MustPlan(faults.Spec{
 		Seed: 3, HardCorruptProb: 1, MaxPerShard: 1,
 	}, 1)
@@ -433,7 +433,7 @@ func TestServingChaosHardCorruptDrops(t *testing.T) {
 
 // TestServeFaultPlanValidation pins Serve's supervision preconditions.
 func TestServeFaultPlanValidation(t *testing.T) {
-	eng := chaosEngine(2, RoundRobin{}, 5)
+	eng := chaosEngine(2, RoundRobin, 5)
 	if _, err := eng.Serve(ServeConfig{Faults: faults.MustPlan(faults.Spec{}, 3)}); err == nil {
 		t.Fatal("Serve accepted a fault plan with the wrong shard count")
 	}

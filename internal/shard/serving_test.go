@@ -56,7 +56,8 @@ type checkpointState struct {
 // (lane p takes elements p, p+P, ...) must yield byte-identical samples AND
 // verdict tables to serial OfferBatch of the original stream — at every
 // checkpoint, for every sampler type, router, shard count and producer
-// count.
+// count. The serial reference's shards are themselves checked against the
+// routing oracle at each checkpoint.
 func TestServingDeterministicMatchesSerial(t *testing.T) {
 	const n = 4096
 	checkpoints := []int{1024, 2048, 4096} // phase lengths divisible by every P below
@@ -75,6 +76,7 @@ func TestServingDeterministicMatchesSerial(t *testing.T) {
 				for _, cp := range checkpoints {
 					serial.OfferBatch(stream[prev:cp])
 					prev = cp
+					checkShardsAgainstOracle(t, router.Name(), sys, serial, routeOracle(router, S, 7, stream[:cp]))
 					want = append(want, observe(serial.Verdict(), serial))
 				}
 
@@ -289,7 +291,7 @@ func TestServingLiveStress(t *testing.T) {
 func TestServingSnapshotRoundTrip(t *testing.T) {
 	sys := setsystem.NewPrefixes(servingUniverse)
 	cfg := Config{
-		Shards: 3, Router: Uniform{}, System: sys,
+		Shards: 3, Router: Uniform, System: sys,
 		NewSampler: func(int) game.Sampler { return sampler.NewReservoir[int64](32) },
 		Workers:    1,
 	}
@@ -338,7 +340,7 @@ func TestMergeFromEngine(t *testing.T) {
 		name string
 		mk   func(int) game.Sampler
 	}{{"reservoir", mkRes}, {"bernoulli", mkBer}} {
-		cfg := Config{Shards: 2, Router: HashByValue{}, System: sys, NewSampler: tc.mk, Workers: 1}
+		cfg := Config{Shards: 2, Router: HashByValue, System: sys, NewSampler: tc.mk, Workers: 1}
 		a := New(cfg, rng.New(1))
 		b := New(cfg, rng.New(2))
 		sa := servingStream(2500, 31)
@@ -359,7 +361,7 @@ func TestMergeFromEngine(t *testing.T) {
 	}
 
 	// Algorithm L cannot merge.
-	cfgL := Config{Shards: 2, Router: HashByValue{}, System: sys,
+	cfgL := Config{Shards: 2, Router: HashByValue, System: sys,
 		NewSampler: func(int) game.Sampler { return sampler.NewReservoirL[int64](16) }, Workers: 1}
 	a := New(cfgL, rng.New(1))
 	b := New(cfgL, rng.New(2))
@@ -370,21 +372,9 @@ func TestMergeFromEngine(t *testing.T) {
 	}
 
 	// Mismatched shard structure.
-	c := New(Config{Shards: 3, Router: HashByValue{}, System: sys, NewSampler: mkRes, Workers: 1}, rng.New(3))
-	d := New(Config{Shards: 2, Router: HashByValue{}, System: sys, NewSampler: mkRes, Workers: 1}, rng.New(4))
+	c := New(Config{Shards: 3, Router: HashByValue, System: sys, NewSampler: mkRes, Workers: 1}, rng.New(3))
+	d := New(Config{Shards: 2, Router: HashByValue, System: sys, NewSampler: mkRes, Workers: 1}, rng.New(4))
 	if err := c.MergeFromEngine(d); err == nil {
 		t.Error("engines with different shard counts merged; want ErrMergeShape")
-	}
-}
-
-// TestServingRejectsRecordedStreams pins the Serve precondition.
-func TestServingRejectsRecordedStreams(t *testing.T) {
-	sys := setsystem.NewPrefixes(servingUniverse)
-	e := New(Config{
-		Shards: 1, System: sys, RecordStreams: true,
-		NewSampler: func(int) game.Sampler { return sampler.NewReservoir[int64](8) },
-	}, rng.New(1))
-	if _, err := e.Serve(ServeConfig{}); err == nil {
-		t.Fatal("Serve accepted a RecordStreams engine")
 	}
 }

@@ -16,11 +16,12 @@
 //     the per-shard samples alone via sampler.MergeSamples, the [CTW16]
 //     coordinator primitive.
 //
-// Routing is pluggable (Router: uniform-random, hash-by-value, round-robin)
-// and always runs serially on the coordinator, while shard ingest fans out
-// across the core worker pool. The determinism contract matches the rest of
-// the repository: routing decisions are drawn in element order from the
-// coordinator's RNG before the fan-out, per-shard sampler RNGs are split
+// The engine has one shape: S samplers with their accumulators, behind one
+// of three routers (Router: uniform-random, hash-by-value, round-robin).
+// Routing always runs serially on the coordinator, while shard ingest fans
+// out across the core worker pool. The determinism contract matches the
+// rest of the repository: routing decisions are drawn in element order from
+// the coordinator's RNG before the fan-out, per-shard sampler RNGs are split
 // sequentially at seeding time, each shard touches only its own state, and
 // verdicts merge in shard order — so every result is byte-identical for any
 // worker count, and batch ingest is invariant to how the stream is chunked.
@@ -38,25 +39,19 @@ import (
 type Config struct {
 	// Shards is S, the number of shards. It must be >= 1.
 	Shards int
-	// Router selects the routing mode; nil defaults to Uniform.
+	// Router selects the routing mode; the zero value is Uniform.
 	Router Router
 	// System is the set system global and per-shard verdicts are computed
-	// against. It is required unless NewSampler is nil (a routing-only
-	// engine, e.g. experiment E12's query-routing cluster).
+	// against. It is required.
 	System setsystem.SetSystem
 	// NewSampler builds shard i's sampler, which must also implement
-	// game.BatchSampler (New panics otherwise). It is called once per
-	// shard at engine construction; samplers are Reset (never rebuilt) on
-	// StartGame. nil gives a routing/recording-only engine with no
-	// samplers and no verdicts.
+	// game.BatchSampler. It is required (New panics otherwise) and is
+	// called once per shard at engine construction; samplers are Reset
+	// (never rebuilt) on StartGame.
 	NewSampler func(shard int) game.Sampler
 	// Workers sizes the worker pool for parallel shard ingest: 0 uses all
 	// CPUs, 1 runs inline. Results are byte-identical for every value.
 	Workers int
-	// RecordStreams keeps the full stream and each shard's raw substream
-	// in memory (needed by representativeness measurements and the
-	// differential tests; verdicts never read them).
-	RecordStreams bool
 }
 
 // shardSampler is what a shard needs of its sampler: a game.Sampler, whose
@@ -71,10 +66,9 @@ type shardSampler interface {
 // shardState is one shard: a sampler fed from a private RNG stream plus the
 // incremental accumulator tracking (substream, local sample) exactly.
 type shardState struct {
-	sampler shardSampler // nil on a routing-only engine
+	sampler shardSampler
 	acc     *setsystem.Accumulator
 	rng     *rng.RNG
-	stream  []int64 // raw substream when Config.RecordStreams
 	rounds  int     // substream length (the shard's local population size)
 	pending []int64 // elements routed here but not yet ingested
 }
@@ -84,11 +78,9 @@ type shardState struct {
 // parallelism is internal (shard ingest).
 type Engine struct {
 	cfg       Config
-	router    Router
 	routerRNG *rng.RNG
 	shards    []*shardState
 	global    *setsystem.Accumulator // scratch for merged verdicts
-	stream    []int64                // full routed stream when RecordStreams
 	rounds    int
 	unionBuf  []int64 // reused by SampleView
 	admitBuf  []int   // reused by OfferBatch's per-shard admitted counts
@@ -102,25 +94,20 @@ func New(cfg Config, root *rng.RNG) *Engine {
 	if cfg.Shards < 1 {
 		panic("shard: need at least 1 shard")
 	}
-	if cfg.NewSampler != nil && cfg.System == nil {
-		panic("shard: samplers need a set system for their accumulators")
+	if cfg.NewSampler == nil || cfg.System == nil {
+		panic("shard: need a sampler and a set system for its accumulator")
 	}
-	if cfg.Router == nil {
-		cfg.Router = Uniform{}
+	if cfg.Router > RoundRobin {
+		panic("shard: unknown router")
 	}
-	e := &Engine{cfg: cfg, router: cfg.Router}
+	e := &Engine{cfg: cfg}
 	e.shards = make([]*shardState, cfg.Shards)
 	for i := range e.shards {
-		sh := &shardState{}
-		if cfg.NewSampler != nil {
-			smp, ok := cfg.NewSampler(i).(shardSampler)
-			if !ok {
-				panic("shard: samplers must implement OfferBatch")
-			}
-			sh.sampler = smp
-			sh.acc = cfg.System.NewAccumulator()
+		smp, ok := cfg.NewSampler(i).(shardSampler)
+		if !ok {
+			panic("shard: samplers must implement OfferBatch")
 		}
-		e.shards[i] = sh
+		e.shards[i] = &shardState{sampler: smp, acc: cfg.System.NewAccumulator()}
 	}
 	if root != nil {
 		e.StartGame(root)
@@ -135,18 +122,13 @@ func New(cfg Config, root *rng.RNG) *Engine {
 // configuration — never of the worker count.
 func (e *Engine) StartGame(r *rng.RNG) {
 	e.routerRNG = r.Split()
-	e.router.Reset()
 	for _, sh := range e.shards {
 		sh.rng = r.Split()
-		if sh.sampler != nil {
-			sh.sampler.Reset()
-			sh.acc.Reset()
-		}
-		sh.stream = sh.stream[:0]
+		sh.sampler.Reset()
+		sh.acc.Reset()
 		sh.rounds = 0
 		sh.pending = sh.pending[:0]
 	}
-	e.stream = e.stream[:0]
 	e.rounds = 0
 }
 
@@ -162,41 +144,14 @@ func (e *Engine) Rounds() int { return e.rounds }
 // the next element.
 func (e *Engine) Offer(x int64) (shardIdx int, admitted bool) {
 	e.rounds++
-	si := e.router.Route(x, e.rounds, len(e.shards), e.routerRNG)
-	if si < 0 || si >= len(e.shards) {
-		panic("shard: router returned out-of-range shard")
-	}
-	if e.cfg.RecordStreams {
-		e.stream = append(e.stream, x)
-	}
-	return si, e.offerTo(e.shards[si], x)
-}
-
-// RouteTo feeds one element to an explicit shard, bypassing the router —
-// for callers that produce routing decisions externally (e.g. replaying a
-// recorded attack). It returns whether the shard's sampler admitted the
-// element.
-func (e *Engine) RouteTo(x int64, shardIdx int) bool {
-	if shardIdx < 0 || shardIdx >= len(e.shards) {
-		panic("shard: shard index out of range")
-	}
-	e.rounds++
-	if e.cfg.RecordStreams {
-		e.stream = append(e.stream, x)
-	}
-	return e.offerTo(e.shards[shardIdx], x)
+	si := e.cfg.Router.Route(x, e.rounds, len(e.shards), e.routerRNG)
+	return si, offerTo(e.shards[si], x)
 }
 
 // offerTo is the per-element shard ingest step: substream bookkeeping, one
 // sampler Offer, and the accumulator sync from the sampler's delta.
-func (e *Engine) offerTo(sh *shardState, x int64) bool {
+func offerTo(sh *shardState, x int64) bool {
 	sh.rounds++
-	if e.cfg.RecordStreams {
-		sh.stream = append(sh.stream, x)
-	}
-	if sh.sampler == nil {
-		return false
-	}
 	admitted := sh.sampler.Offer(x, sh.rng)
 	sh.acc.AddStream(x)
 	added, removed := sh.sampler.LastDelta()
@@ -222,14 +177,8 @@ func (e *Engine) offerTo(sh *shardState, x int64) bool {
 func (e *Engine) OfferBatch(xs []int64) int {
 	for _, x := range xs {
 		e.rounds++
-		si := e.router.Route(x, e.rounds, len(e.shards), e.routerRNG)
-		if si < 0 || si >= len(e.shards) {
-			panic("shard: router returned out-of-range shard")
-		}
+		si := e.cfg.Router.Route(x, e.rounds, len(e.shards), e.routerRNG)
 		e.shards[si].pending = append(e.shards[si].pending, x)
-	}
-	if e.cfg.RecordStreams {
-		e.stream = append(e.stream, xs...)
 	}
 	if cap(e.admitBuf) < len(e.shards) {
 		e.admitBuf = make([]int, len(e.shards))
@@ -237,7 +186,7 @@ func (e *Engine) OfferBatch(xs []int64) int {
 	admitted := e.admitBuf[:len(e.shards)]
 	//robust:alloc one closure per batch for the worker fan-out, amortized over the whole run
 	core.ForEachTrial(len(e.shards), e.cfg.Workers, func(i int) {
-		admitted[i] = e.flush(e.shards[i])
+		admitted[i] = flush(e.shards[i])
 	})
 	total := 0
 	for _, n := range admitted {
@@ -248,8 +197,8 @@ func (e *Engine) OfferBatch(xs []int64) int {
 
 // flush ingests a shard's pending elements through applyShard and reports
 // how many were admitted.
-func (e *Engine) flush(sh *shardState) int {
-	n := e.applyShard(sh, sh.pending)
+func flush(sh *shardState) int {
+	n := applyShard(sh, sh.pending)
 	sh.pending = sh.pending[:0]
 	return n
 }
@@ -261,12 +210,9 @@ func (e *Engine) flush(sh *shardState) int {
 // It mutates only sh, so distinct shards may be applied concurrently;
 // results are invariant to how the shard's routed substream is chunked
 // across calls.
-func (e *Engine) applyShard(sh *shardState, xs []int64) int {
+func applyShard(sh *shardState, xs []int64) int {
 	sh.rounds += len(xs)
-	if e.cfg.RecordStreams {
-		sh.stream = append(sh.stream, xs...)
-	}
-	if sh.sampler == nil || len(xs) == 0 {
+	if len(xs) == 0 {
 		return 0
 	}
 	return game.IngestBatchSynced(sh.sampler, sh.sampler, sh.acc, xs, sh.rng)
@@ -310,9 +256,6 @@ func (e *Engine) walk(s *Serving, bounded bool, fn func(sh *shardState)) Coverag
 // serving session serializes it on its query lock (e.global is shared
 // scratch).
 func (e *Engine) verdict(s *Serving, bounded bool) (setsystem.Discrepancy, Coverage) {
-	if e.cfg.NewSampler == nil {
-		panic("shard: Verdict requires samplers (routing-only engine)")
-	}
 	if s != nil {
 		s.qmu.Lock()
 		defer s.qmu.Unlock()
@@ -328,22 +271,14 @@ func (e *Engine) verdict(s *Serving, bounded bool) (setsystem.Discrepancy, Cover
 // sample is Sample over a walk: the entered shards' samples appended to
 // out in shard order.
 func (e *Engine) sample(s *Serving, bounded bool, out []int64) ([]int64, Coverage) {
-	cov := e.walk(s, bounded, func(sh *shardState) {
-		if sh.sampler != nil {
-			out = append(out, sh.sampler.View()...)
-		}
-	})
+	cov := e.walk(s, bounded, func(sh *shardState) { out = append(out, sh.sampler.View()...) })
 	return out, cov
 }
 
 // sampleLen is SampleLen over a walk.
 func (e *Engine) sampleLen(s *Serving) int {
 	n := 0
-	e.walk(s, false, func(sh *shardState) {
-		if sh.sampler != nil {
-			n += sh.sampler.Len()
-		}
-	})
+	e.walk(s, false, func(sh *shardState) { n += sh.sampler.Len() })
 	return n
 }
 
@@ -352,9 +287,6 @@ func (e *Engine) sampleLen(s *Serving) int {
 // session copies each view behind the barrier, because consumers keep
 // applying once the lock drops; the merge runs outside every lock.
 func (e *Engine) globalSample(s *Serving, bounded bool, k int, r *rng.RNG) ([]int64, Coverage) {
-	if e.cfg.NewSampler == nil {
-		panic("shard: GlobalSample requires samplers (routing-only engine)")
-	}
 	views := make([][]int64, 0, len(e.shards))
 	pops := make([]int, 0, len(e.shards))
 	cov := e.walk(s, bounded, func(sh *shardState) {
@@ -384,13 +316,7 @@ func (e *Engine) Verdict() setsystem.Discrepancy {
 // its own sample. Per-shard and global verdicts answer different questions —
 // a shard can be locally representative while the union sample is not (and
 // vice versa); the shard experiments report both.
-func (e *Engine) ShardVerdict(i int) setsystem.Discrepancy {
-	sh := e.shards[i]
-	if sh.sampler == nil {
-		panic("shard: ShardVerdict requires samplers (routing-only engine)")
-	}
-	return sh.acc.Max()
-}
+func (e *Engine) ShardVerdict(i int) setsystem.Discrepancy { return e.shards[i].acc.Max() }
 
 // SampleView returns the union of the per-shard samples, concatenated in
 // shard order into a buffer reused across calls: this is the coordinator's
@@ -412,24 +338,6 @@ func (e *Engine) SampleLen() int { return e.sampleLen(nil) }
 
 // ShardRounds returns the length of shard i's substream.
 func (e *Engine) ShardRounds(i int) int { return e.shards[i].rounds }
-
-// Stream returns the full routed stream. It panics unless the engine was
-// built with RecordStreams.
-func (e *Engine) Stream() []int64 {
-	if !e.cfg.RecordStreams {
-		panic("shard: Stream requires RecordStreams")
-	}
-	return e.stream
-}
-
-// Substream returns shard i's raw substream. It panics unless the engine
-// was built with RecordStreams.
-func (e *Engine) Substream(i int) []int64 {
-	if !e.cfg.RecordStreams {
-		panic("shard: Substream requires RecordStreams")
-	}
-	return e.shards[i].stream
-}
 
 // GlobalSample draws a uniform without-replacement sample of size k of the
 // union stream from the per-shard samples alone, by population-weighted

@@ -12,11 +12,39 @@ import (
 	"robustsample/internal/stats"
 )
 
-// ShardSampler returns shard i's sampler (nil on a routing-only engine).
+// ShardSampler returns shard i's sampler.
 func (e *Engine) ShardSampler(i int) game.Sampler { return e.shards[i].sampler }
 
+// routeOracle replays an engine's serial routing outside the engine and
+// returns each shard's substream of xs. An engine seeded with rng.New(seed)
+// routes from that seed's first split, one Route per element in order.
+func routeOracle(router Router, shards int, seed uint64, xs []int64) [][]int64 {
+	r := rng.New(seed).Split()
+	subs := make([][]int64, shards)
+	for i, x := range xs {
+		si := router.Route(x, i+1, shards, r)
+		subs[si] = append(subs[si], x)
+	}
+	return subs
+}
+
+// checkShardsAgainstOracle checks every shard of eng against its oracle
+// substream: the substream lengths match, and each shard verdict equals the
+// one-shot discrepancy of the oracle substream against the shard's sample.
+func checkShardsAgainstOracle(t *testing.T, name string, sys setsystem.SetSystem, eng *Engine, subs [][]int64) {
+	t.Helper()
+	for i, sub := range subs {
+		if got := eng.ShardRounds(i); got != len(sub) {
+			t.Fatalf("%s: shard %d holds %d rounds, oracle routed %d", name, i, got, len(sub))
+		}
+		if got, want := eng.ShardVerdict(i), sys.MaxDiscrepancy(sub, eng.ShardSampler(i).View()); got != want {
+			t.Fatalf("%s: shard %d verdict %+v, one-shot on the oracle substream %+v", name, i, got, want)
+		}
+	}
+}
+
 func TestRoundRobinSpreadsEvenly(t *testing.T) {
-	rr := RoundRobin{}
+	rr := RoundRobin
 	counts := make([]int, 3)
 	for round := 1; round <= 300; round++ {
 		counts[rr.Route(42, round, 3, nil)]++
@@ -29,7 +57,7 @@ func TestRoundRobinSpreadsEvenly(t *testing.T) {
 }
 
 func TestHashByValueIsConsistentAndSpread(t *testing.T) {
-	h := HashByValue{}
+	h := HashByValue
 	counts := make([]int, 4)
 	for x := int64(0); x < 4000; x++ {
 		a := h.Route(x, 1, 4, nil)
@@ -47,7 +75,7 @@ func TestHashByValueIsConsistentAndSpread(t *testing.T) {
 }
 
 func TestUniformRoutesInRange(t *testing.T) {
-	u := Uniform{}
+	u := Uniform
 	r := rng.New(1)
 	for i := 0; i < 1000; i++ {
 		s := u.Route(int64(i), i+1, 5, r)
@@ -60,7 +88,7 @@ func TestUniformRoutesInRange(t *testing.T) {
 // TestUniformRoutingBalanced: every shard's count under uniform routing is
 // within five standard deviations of n/S.
 func TestUniformRoutingBalanced(t *testing.T) {
-	u := Uniform{}
+	u := Uniform
 	r := rng.New(2)
 	const n = 50000
 	counts := make([]int, 5)
@@ -83,15 +111,16 @@ func newTestEngine(shards, k int, router Router, seed uint64) *Engine {
 		NewSampler: func(int) game.Sampler {
 			return sampler.NewReservoir[int64](k)
 		},
-		Workers:       1,
-		RecordStreams: true,
+		Workers: 1,
 	}, rng.New(seed))
 }
 
-// TestSubstreamsPartitionStream checks the routing bookkeeping: the shard
-// substreams partition the full stream (as multisets, sizes and contents),
-// under every router.
+// TestSubstreamsPartitionStream checks the routing bookkeeping against the
+// routing oracle, under every router and both ingest paths: each shard's
+// round count and local verdict match the substream the oracle routes to
+// it, so the shards partition the stream as the router says.
 func TestSubstreamsPartitionStream(t *testing.T) {
+	sys := setsystem.NewPrefixes(1 << 16)
 	for _, router := range Routers() {
 		eng := newTestEngine(4, 10, router, 8)
 		gen := rng.New(2)
@@ -106,78 +135,30 @@ func TestSubstreamsPartitionStream(t *testing.T) {
 		if eng.Rounds() != len(xs) {
 			t.Fatalf("%s: rounds %d, want %d", router.Name(), eng.Rounds(), len(xs))
 		}
-		var union []int64
-		total := 0
-		for i := 0; i < eng.NumShards(); i++ {
-			union = append(union, eng.Substream(i)...)
-			total += eng.ShardRounds(i)
-		}
-		if total != len(xs) {
-			t.Fatalf("%s: shard rounds sum to %d, want %d", router.Name(), total, len(xs))
-		}
-		slices.Sort(union)
-		full := append([]int64(nil), eng.Stream()...)
-		slices.Sort(full)
-		if !slices.Equal(union, full) {
-			t.Fatalf("%s: substreams do not partition the stream", router.Name())
-		}
-	}
-}
-
-func TestRouteToRecordsAtExplicitShard(t *testing.T) {
-	eng := newTestEngine(3, 5, Uniform{}, 9)
-	eng.RouteTo(7, 2)
-	eng.RouteTo(8, 2)
-	eng.RouteTo(9, 0)
-	if got := eng.Substream(2); !slices.Equal(got, []int64{7, 8}) {
-		t.Fatalf("substream 2 = %v", got)
-	}
-	if eng.ShardRounds(0) != 1 || eng.ShardRounds(1) != 0 {
-		t.Fatalf("shard rounds: %d %d", eng.ShardRounds(0), eng.ShardRounds(1))
-	}
-}
-
-func TestRouteToRejectsOutOfRangeShard(t *testing.T) {
-	eng := newTestEngine(3, 5, Uniform{}, 9)
-	for _, bad := range []int{-1, 3} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("RouteTo(shard %d) of a 3-shard engine did not panic", bad)
-				}
-			}()
-			eng.RouteTo(1, bad)
-		}()
-	}
-	if eng.Rounds() != 0 {
-		t.Fatalf("rejected RouteTo calls recorded %d rounds", eng.Rounds())
+		checkShardsAgainstOracle(t, router.Name(), sys, eng, routeOracle(router, 4, 8, xs))
 	}
 }
 
 // TestShardVerdictMatchesLocalOneShot checks per-shard verdicts against the
-// one-shot oracle on the shard's own substream and sample.
+// one-shot oracle on the shard's own substream and sample, across batches.
 func TestShardVerdictMatchesLocalOneShot(t *testing.T) {
 	sys := setsystem.NewPrefixes(1 << 16)
-	eng := newTestEngine(3, 12, HashByValue{}, 10)
+	eng := newTestEngine(3, 12, HashByValue, 10)
 	gen := rng.New(4)
+	var stream []int64
 	for i := 0; i < 5; i++ {
 		xs := make([]int64, 700)
 		for j := range xs {
 			xs[j] = 1 + gen.Int63n(1<<16)
 		}
 		eng.OfferBatch(xs)
+		stream = append(stream, xs...)
 	}
-	for i := 0; i < eng.NumShards(); i++ {
-		got := eng.ShardVerdict(i)
-		want := sys.MaxDiscrepancy(eng.Substream(i), eng.ShardSampler(i).View())
-		if got != want {
-			t.Fatalf("shard %d verdict %+v, one-shot %+v", i, got, want)
-		}
-	}
+	checkShardsAgainstOracle(t, "hash", sys, eng, routeOracle(HashByValue, 3, 10, stream))
 }
 
 func TestGlobalSampleDrawsFromUnion(t *testing.T) {
-	eng := newTestEngine(4, 50, Uniform{}, 11)
+	eng := newTestEngine(4, 50, Uniform, 11)
 	gen := rng.New(5)
 	xs := make([]int64, 4000)
 	for i := range xs {
@@ -232,21 +213,22 @@ func newUnionEngine(shards, capacity int, r *rng.RNG) *Engine {
 		NewSampler: func(int) game.Sampler {
 			return sampler.NewReservoir[int64](capacity)
 		},
-		RecordStreams: true,
 	}, r)
 }
 
 func TestGlobalSampleRepresentative(t *testing.T) {
 	r := rng.New(20)
 	eng := newUnionEngine(4, 1000, r)
-	for i := 0; i < 20000; i++ {
-		eng.Offer(1 + r.Int63n(1<<20))
+	stream := make([]int64, 20000)
+	for i := range stream {
+		stream[i] = 1 + r.Int63n(1<<20)
+		eng.Offer(stream[i])
 	}
 	global := eng.GlobalSample(2000, r)
 	if len(global) != 2000 {
 		t.Fatalf("global sample size %d", len(global))
 	}
-	if ks := stats.KSDistanceInt64(eng.Stream(), global); ks > 0.06 {
+	if ks := stats.KSDistanceInt64(stream, global); ks > 0.06 {
 		t.Fatalf("merged global sample KS %v too large", ks)
 	}
 }
@@ -258,11 +240,13 @@ func TestGlobalSampleRepresentative(t *testing.T) {
 func TestGlobalVerdictOnUnionEngine(t *testing.T) {
 	r := rng.New(23)
 	eng := newUnionEngine(4, 500, r)
-	for i := 0; i < 20000; i++ {
-		eng.Offer(1 + r.Int63n(1<<20))
+	stream := make([]int64, 20000)
+	for i := range stream {
+		stream[i] = 1 + r.Int63n(1<<20)
+		eng.Offer(stream[i])
 	}
 	got := eng.Verdict()
-	want := setsystem.NewPrefixes(math.MaxInt64).MaxDiscrepancy(eng.Stream(), eng.Sample())
+	want := setsystem.NewPrefixes(math.MaxInt64).MaxDiscrepancy(stream, eng.Sample())
 	if got != want {
 		t.Fatalf("merged verdict %+v, one-shot %+v", got, want)
 	}
@@ -297,7 +281,7 @@ func TestGlobalSampleInclusionBalance(t *testing.T) {
 }
 
 func TestStartGameReproducesRuns(t *testing.T) {
-	eng := newTestEngine(4, 10, Uniform{}, 12)
+	eng := newTestEngine(4, 10, Uniform, 12)
 	play := func() ([]int64, setsystem.Discrepancy) {
 		eng.StartGame(rng.New(77))
 		gen := rng.New(3)
@@ -315,40 +299,11 @@ func TestStartGameReproducesRuns(t *testing.T) {
 	}
 }
 
-func TestRoutingOnlyEngine(t *testing.T) {
-	eng := New(Config{Shards: 3, RecordStreams: true}, rng.New(1))
-	for i := int64(0); i < 300; i++ {
-		if _, admitted := eng.Offer(i); admitted {
-			t.Fatal("routing-only engine admitted an element")
-		}
-	}
-	total := 0
-	for i := 0; i < 3; i++ {
-		total += len(eng.Substream(i))
-	}
-	if total != 300 {
-		t.Fatalf("recorded %d of 300", total)
-	}
-	for _, f := range []func(){
-		func() { eng.Verdict() },
-		func() { eng.ShardVerdict(0) },
-		func() { eng.GlobalSample(5, rng.New(2)) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic on verdict/sample of routing-only engine")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-// TestConfigValidation pins New's construction panics: no shards, samplers
-// without a set system, and samplers lacking the bulk ingest (OfferBatch)
-// every shard applies through.
+// TestConfigValidation pins New's construction panics: no shards, no
+// sampler, samplers without a set system, an unknown router, and samplers
+// lacking the bulk ingest (OfferBatch) every shard applies through.
 func TestConfigValidation(t *testing.T) {
+	reservoir := func(int) game.Sampler { return sampler.NewReservoir[int64](4) }
 	withSampler := func(mk func() game.Sampler) func() {
 		return func() {
 			New(Config{Shards: 2, System: setsystem.NewPrefixes(64), NewSampler: func(int) game.Sampler {
@@ -359,10 +314,10 @@ func TestConfigValidation(t *testing.T) {
 	type noBatch struct{ game.Sampler }
 	for _, f := range []func(){
 		func() { New(Config{Shards: 0}, rng.New(1)) },
+		func() { New(Config{Shards: 2, System: setsystem.NewPrefixes(64)}, rng.New(1)) },
+		func() { New(Config{Shards: 2, NewSampler: reservoir}, rng.New(1)) },
 		func() {
-			New(Config{Shards: 2, NewSampler: func(int) game.Sampler {
-				return sampler.NewReservoir[int64](4)
-			}}, rng.New(1))
+			New(Config{Shards: 2, Router: RoundRobin + 1, System: setsystem.NewPrefixes(64), NewSampler: reservoir}, rng.New(1))
 		},
 		withSampler(func() game.Sampler {
 			return noBatch{sampler.NewReservoir[int64](4)}

@@ -9,9 +9,8 @@ import (
 	"robustsample/internal/snapshot"
 )
 
-// ErrUnsnapshottable is returned when an engine configuration cannot be
-// serialized: stream-recording engines (their state is the raw traffic, not
-// a summary) and engines whose samplers have no snapshot codec.
+// ErrUnsnapshottable is returned when an engine cannot be serialized
+// because its samplers have no snapshot codec.
 var ErrUnsnapshottable = errors.New("shard: engine configuration has no snapshot codec")
 
 // AppendState appends the engine's full dynamic state: coordinator rounds,
@@ -19,12 +18,9 @@ var ErrUnsnapshottable = errors.New("shard: engine configuration has no snapshot
 // state and accumulator state. Configuration (shard count, router, set
 // system, worker pool) is NOT serialized — a snapshot restores into an
 // engine built with the same Config, which is verified structurally on
-// load. All in-repo routers are stateless given their inputs, so no router
-// state is needed.
+// load. Every router is stateless given its inputs, so no router state is
+// needed.
 func AppendState(buf []byte, e *Engine) ([]byte, error) {
-	if e.cfg.RecordStreams {
-		return nil, fmt.Errorf("%w: RecordStreams engines", ErrUnsnapshottable)
-	}
 	if e.routerRNG == nil {
 		return nil, fmt.Errorf("shard: engine not seeded (call StartGame before snapshotting)")
 	}
@@ -56,10 +52,9 @@ func appendShardBlock(buf []byte, sh *shardState) ([]byte, error) {
 	buf = snapshot.AppendUint64(buf, hi)
 	buf = snapshot.AppendUint64(buf, lo)
 	buf = snapshot.AppendInt64(buf, int64(sh.rounds))
-	buf = snapshot.AppendBool(buf, sh.sampler != nil)
-	if sh.sampler == nil {
-		return buf, nil
-	}
+	// The has-sampler byte is always 1. The block keeps it so that
+	// snapshot bytes stay as they are; loadShardBlock rejects 0.
+	buf = snapshot.AppendBool(buf, true)
 	var err error
 	buf, err = sampler.AppendState(buf, sh.sampler)
 	if err != nil {
@@ -73,9 +68,6 @@ func appendShardBlock(buf []byte, sh *shardState) ([]byte, error) {
 // shapes, same set system) and seeded at least once. On success the engine
 // behaves exactly as the snapshotted one would for any subsequent traffic.
 func LoadState(r *snapshot.Reader, e *Engine) error {
-	if e.cfg.RecordStreams {
-		return fmt.Errorf("%w: RecordStreams engines", ErrUnsnapshottable)
-	}
 	if e.routerRNG == nil {
 		return fmt.Errorf("shard: engine not seeded (call StartGame before restoring)")
 	}
@@ -91,7 +83,6 @@ func LoadState(r *snapshot.Reader, e *Engine) error {
 	}
 	e.rounds = int(rounds)
 	e.routerRNG.SetState(routerHi, routerLo)
-	e.router.Reset()
 	for _, sh := range e.shards {
 		if err := loadShardBlock(r, sh); err != nil {
 			return err
@@ -101,7 +92,8 @@ func LoadState(r *snapshot.Reader, e *Engine) error {
 }
 
 // loadShardBlock restores one shard from a block written by
-// appendShardBlock; the shard must have the same sampler layout.
+// appendShardBlock; the shard must have the same sampler layout, and a
+// block without a sampler is corrupt.
 func loadShardBlock(r *snapshot.Reader, sh *shardState) error {
 	hi := r.Uint64()
 	lo := r.Uint64()
@@ -110,15 +102,12 @@ func loadShardBlock(r *snapshot.Reader, sh *shardState) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if shRounds < 0 || hasSampler != (sh.sampler != nil) {
+	if shRounds < 0 || !hasSampler {
 		return fmt.Errorf("shard: snapshot sampler layout does not match engine config: %w", snapshot.ErrCorrupt)
 	}
 	sh.rng.SetState(hi, lo)
 	sh.rounds = int(shRounds)
 	sh.pending = sh.pending[:0]
-	if sh.sampler == nil {
-		return nil
-	}
 	if err := sampler.LoadState(r, sh.sampler); err != nil {
 		return err
 	}

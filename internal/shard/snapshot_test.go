@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"errors"
 	"slices"
 	"testing"
 
@@ -15,7 +16,7 @@ import (
 func snapTestConfig(newSampler func(int) game.Sampler) Config {
 	return Config{
 		Shards:     4,
-		Router:     Uniform{},
+		Router:     Uniform,
 		System:     setsystem.NewIntervals(1 << 16),
 		NewSampler: newSampler,
 		Workers:    1,
@@ -115,13 +116,17 @@ func TestEngineSnapshotStructuralMismatch(t *testing.T) {
 	if err := LoadState(snapshot.NewReader(snap), New(cfg2, rng.New(1))); err == nil {
 		t.Fatal("set-system mismatch not detected")
 	}
-}
-
-func TestEngineSnapshotRecordStreamsUnsupported(t *testing.T) {
-	cfg := snapTestConfig(func(int) game.Sampler { return sampler.NewReservoir[int64](8) })
-	cfg.RecordStreams = true
-	e := New(cfg, rng.New(1))
-	if _, err := AppendState(nil, e); err == nil {
-		t.Fatal("RecordStreams engines must refuse to snapshot")
+	// A shard block without a sampler. The first block's has-sampler byte
+	// follows the engine header (rounds, shard count, routing RNG: 32
+	// bytes) and the shard's RNG state and rounds (24 bytes).
+	const hasSampler = 32 + 24
+	if snap[hasSampler] != 1 {
+		t.Fatalf("byte %d is %d, not the has-sampler byte", hasSampler, snap[hasSampler])
+	}
+	noSampler := bytes.Clone(snap)
+	noSampler[hasSampler] = 0
+	same := New(snapTestConfig(func(int) game.Sampler { return sampler.NewReservoir[int64](8) }), rng.New(1))
+	if err := LoadState(snapshot.NewReader(noSampler), same); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Fatalf("shard block without a sampler: err %v, want snapshot.ErrCorrupt", err)
 	}
 }

@@ -90,29 +90,19 @@ const (
 )
 
 func (k RouterKind) String() string {
-	switch k {
-	case RouterUniform:
-		return "uniform"
-	case RouterHash:
-		return "hash"
-	case RouterRoundRobin:
-		return "round-robin"
-	default:
-		return fmt.Sprintf("RouterKind(%d)", int(k))
+	if r, err := k.router(); err == nil {
+		return r.Name()
 	}
+	return fmt.Sprintf("RouterKind(%d)", int(k))
 }
 
+// router maps k onto the internal router, whose values follow RouterKind's
+// order.
 func (k RouterKind) router() (ishard.Router, error) {
-	switch k {
-	case RouterUniform:
-		return ishard.Uniform{}, nil
-	case RouterHash:
-		return ishard.HashByValue{}, nil
-	case RouterRoundRobin:
-		return ishard.RoundRobin{}, nil
-	default:
-		return nil, fmt.Errorf("shard: unknown router kind %d", int(k))
+	if k < RouterUniform || k > RouterRoundRobin {
+		return 0, fmt.Errorf("shard: unknown router kind %d", int(k))
 	}
+	return ishard.Router(k), nil
 }
 
 // System selects the set system coordinator verdicts are computed against.

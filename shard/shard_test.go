@@ -74,11 +74,16 @@ func TestValidation(t *testing.T) {
 
 // TestVerdictMatchesOneShot: the public engine's merged verdict must be
 // bit-identical to a one-shot discrepancy on the union stream and union
-// sample, for every router.
+// sample, for every router. Each RouterKind's name comes from the internal
+// router it maps onto, so the names also pin that mapping.
 func TestVerdictMatchesOneShot(t *testing.T) {
 	const universe = int64(1 << 12)
 	stream := testStream(5000, universe, 21)
-	for _, router := range []shard.RouterKind{shard.RouterUniform, shard.RouterHash, shard.RouterRoundRobin} {
+	names := []string{"uniform", "hash", "round-robin"}
+	for i, router := range []shard.RouterKind{shard.RouterUniform, shard.RouterHash, shard.RouterRoundRobin} {
+		if router.String() != names[i] {
+			t.Fatalf("RouterKind %d is named %q, want %q", int(router), router.String(), names[i])
+		}
 		t.Run(router.String(), func(t *testing.T) {
 			u := mustU(sketch.NewInt64Universe(universe))
 			e, err := shard.New(u,
