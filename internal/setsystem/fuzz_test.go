@@ -108,24 +108,124 @@ func FuzzAccumulatorParity(f *testing.F) {
 	})
 }
 
-// checkParity demands bit-exact agreement between the incremental engine and
-// the one-shot on the current multisets. The empty stream is the one pinned
-// divergence: both report error 0, but the accumulator returns the zero
-// Discrepancy while the one-shot suffix system reports a degenerate [1, N]
-// witness — so witnesses are only compared once the stream is non-empty.
+// checkParity demands bit-exact agreement, error and witness, between the
+// incremental engine and the one-shot on the current multisets, the empty
+// stream included (both return the zero Discrepancy there).
 func checkParity(t *testing.T, sys SetSystem, acc *Accumulator, stream, sample []int64) {
 	t.Helper()
 	got, want := acc.Max(), sys.MaxDiscrepancy(stream, sample)
-	if len(stream) == 0 {
-		if got.Err != want.Err {
-			t.Fatalf("%s: empty-stream err %v != one-shot %v", sys.Name(), got.Err, want.Err)
-		}
-		return
-	}
 	if got != want {
 		t.Fatalf("%s: accumulator %v != one-shot %v (stream=%v sample=%v)",
 			sys.Name(), got, want, stream, sample)
 	}
+}
+
+// refoldSource is one fuzzed source accumulator with the multisets it holds.
+type refoldSource struct {
+	acc            *Accumulator
+	stream, sample []int64
+}
+
+// FuzzAccumulatorRefold pins the coordinator's refold: a target that keeps
+// its layout across verdicts (ClearCounts, then MergeFrom of a random
+// subset of sources) must give the same Max, error and witness, as a fresh
+// Reset + MergeFrom of that subset and as the one-shot on the union, empty
+// unions included. Three sources take stream, sample, evict and Reset
+// operations decoded from fuzz bytes, so the target keeps slots of values
+// that no folded source holds any more. Values range over [-3, 28] around
+// the universe [1, 24] (probe table, flat table and the switch between
+// them), and blocks of 3 slots keep splits and witness rescans in play.
+func FuzzAccumulatorRefold(f *testing.F) {
+	f.Add([]byte{0x01, 0x42, 0x83, 0xc7, 0xc0, 0xc3})
+	f.Add([]byte{0x05, 0x06, 0x07, 0x65, 0x66, 0xc7, 0xa0, 0xa1, 0xa2, 0xc7, 0xc0})
+	f.Add([]byte{0x1f, 0x00, 0x10, 0x7f, 0x7f, 0x7f, 0xc7, 0x9c, 0xc7, 0xe1, 0xc5, 0xe0, 0xc7})
+	// Sources over disjoint values lay out one block each. A refold that
+	// leaves a source out leaves its block with no count at all: first
+	// with stream mass only (the empty-sample scan over blocks holding
+	// stream mass), then after a second Max has built every block's hulls.
+	f.Add([]byte{0x04, 0x0d, 0x17, 0x05, 0x0e, 0x18, 0x06, 0x0f, 0x19, 0xc7, 0xc6, 0xc5, 0xc3})
+	f.Add([]byte{0x64, 0x0d, 0x77, 0x65, 0x0e, 0x78, 0x66, 0x0f, 0x79, 0xc7, 0xc5, 0xc6, 0xc3, 0xc7})
+	// Every value once on each source, refolds of every subset, then a
+	// Reset of each source and a refold over the emptied layout.
+	all := []byte{}
+	for b := byte(0); b < 32; b++ {
+		all = append(all, b, 0x60|b, b)
+	}
+	for m := byte(0); m < 8; m++ {
+		all = append(all, 0xc0|m)
+	}
+	f.Add(append(all, 0xa0, 0x84, 0x84, 0x84, 0xc7, 0xe1, 0xc7))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 256 {
+			return
+		}
+		const universe = 24
+		for _, sys := range []SetSystem{
+			NewPrefixes(universe), NewIntervals(universe),
+			NewSingletons(universe), NewSuffixes(universe),
+		} {
+			var srcs [3]refoldSource
+			for i := range srcs {
+				srcs[i].acc = sys.NewAccumulator()
+				srcs[i].acc.blockB = 3
+			}
+			target, fresh := sys.NewAccumulator(), sys.NewAccumulator()
+			target.blockB, fresh.blockB = 3, 3
+			refold := func(mask byte) {
+				t.Helper()
+				target.ClearCounts()
+				fresh.Reset()
+				var stream, sample []int64
+				for i := range srcs {
+					if mask&(1<<i) != 0 {
+						target.MergeFrom(srcs[i].acc)
+						fresh.MergeFrom(srcs[i].acc)
+						stream = append(stream, srcs[i].stream...)
+						sample = append(sample, srcs[i].sample...)
+					}
+				}
+				got := target.Max()
+				if want := fresh.Max(); got != want {
+					t.Fatalf("%s: refold of subset %03b %v != fresh merge %v", sys.Name(), mask, got, want)
+				}
+				checkParity(t, sys, target, stream, sample)
+			}
+			for i, b := range data {
+				x := int64(b&0x1f) - 3 // value in [-3, 28]
+				src := &srcs[i%len(srcs)]
+				switch op := b >> 5; op {
+				case 0, 1: // AddStream
+					src.stream = append(src.stream, x)
+					src.acc.AddStream(x)
+				case 2: // AddSample
+					src.sample = append(src.sample, x)
+					src.acc.AddSample(x)
+				case 3: // AddStream and AddSample: a filling reservoir
+					src.stream = append(src.stream, x)
+					src.sample = append(src.sample, x)
+					src.acc.AddStream(x)
+					src.acc.AddSample(x)
+				case 4: // evict one sample element, or Reset the source
+					if x%4 == 1 {
+						src.acc.Reset()
+						src.stream, src.sample = src.stream[:0], src.sample[:0]
+					} else if len(src.sample) > 0 {
+						j := i % len(src.sample)
+						src.acc.RemoveSample(src.sample[j])
+						src.sample[j] = src.sample[len(src.sample)-1]
+						src.sample = src.sample[:len(src.sample)-1]
+					}
+				case 5: // place the source's pending slots
+					src.acc.Max()
+				case 6: // refold the subset named by the low three bits
+					refold(b & 7)
+				default: // a new stream: the target drops its layout
+					target.Reset()
+				}
+			}
+			refold(7)
+		}
+	})
 }
 
 // FuzzPrefixDiscrepancyMatchesBrute is the prefix-system analogue.

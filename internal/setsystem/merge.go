@@ -10,6 +10,15 @@
 // O(distinct values) per source accumulator instead of O(stream length), so
 // a coordinator's verdict cost is independent of how much traffic the shards
 // have absorbed since the last checkpoint.
+//
+// A coordinator asks for the union verdict again and again over the same
+// stream, and between two checkpoints the shards mostly revisit values the
+// union already holds. So its scratch keeps its layout across verdicts:
+// ClearCounts zeroes the counts but keeps the slots, the value -> slot
+// index and the sorted blocks, and the next round of MergeFrom refolds the
+// counts into them. Only values new since the previous verdict create slots
+// and reach Max's placement and sort. Reset, which drops the layout too,
+// starts a new stream.
 package setsystem
 
 // MergeFrom folds other's stream and sample multisets into a: afterwards a
@@ -57,6 +66,31 @@ func (a *Accumulator) MergeFrom(other *Accumulator) {
 	}
 	a.nx += other.nx
 	a.ns += other.ns
+}
+
+// ClearCounts empties both multisets but keeps the layout: the slots and
+// their values, the value -> slot index (flat and probe), the sorted blocks
+// and the slots still pending placement. Every block is left touched with
+// its hulls invalid, so the next Max sweeps it afresh. A MergeFrom of the
+// same sources then finds every value in the index and creates no slot, and
+// Max places, sorts and adopts nothing.
+//
+// A slot that no folded source fills again stays at zero, and it cannot
+// change Max: its num repeats its predecessor's, so it is never the first
+// position to reach a nonzero extremum (every witness scan compares
+// strictly, and the empty-prefix baseline is 0), and with cx == 0 it adds
+// nothing to a block's nzCx or maxCx. Max after ClearCounts and MergeFrom
+// is therefore bit-identical, error and witness, to Max after Reset and
+// the same MergeFrom calls.
+func (a *Accumulator) ClearCounts() {
+	clear(a.cx)
+	clear(a.cs)
+	for _, b := range a.blocks {
+		b.sumCx, b.sumCs, b.nzCx, b.maxCx = 0, 0, 0, 0
+		b.touched = true
+		b.hullValid = false
+	}
+	a.nx, a.ns = 0, 0
 }
 
 // CopyFrom overwrites a with an exact logical copy of other's state: the

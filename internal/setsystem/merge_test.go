@@ -138,8 +138,8 @@ func TestMergeFromSourceWithEvictions(t *testing.T) {
 }
 
 // TestMergeFromAfterReset reuses a merged target across games via Reset,
-// mirroring how the shard coordinator reuses one scratch engine per
-// checkpoint.
+// mirroring how the shard coordinator's scratch engine starts each new
+// stream.
 func TestMergeFromAfterReset(t *testing.T) {
 	sys := NewSuffixes(512)
 	target := sys.NewAccumulator()

@@ -205,8 +205,12 @@ func (s Suffixes) LogCardinality() float64 { return math.Log(float64(s.n)) }
 // d_[b,N](T) = 1 - F_T(b-1), this equals sup over prefixes [1, b-1] with
 // b-1 ranging over {0, ..., N-1}; the b-1 = 0 case contributes zero, so the
 // value coincides with the prefix discrepancy except that the witness is
-// reported as a suffix.
+// reported as a suffix. An empty stream has the zero Discrepancy, as in the
+// other three systems and the Accumulator.
 func (s Suffixes) MaxDiscrepancy(stream, sample []int64) Discrepancy {
+	if len(stream) == 0 {
+		return Discrepancy{}
+	}
 	d := cdfScan(stream, sample, false)
 	// Convert witness [1, b] to the complementary suffix [b+1, N].
 	lo := d.Hi + 1

@@ -11,40 +11,38 @@ import (
 	"robustsample/internal/setsystem"
 )
 
-// BenchmarkMergedVerdict measures one global checkpoint on a loaded engine:
-// Reset + MergeFrom over every shard's accumulator + Max. Cost is
+// BenchmarkMergedVerdict measures one global checkpoint on a loaded engine
+// of the perfbench serve workload's shape (HashByValue over 4 shards,
+// 256-element reservoirs, prefixes of [2^12], 2^20 elements offered):
+// ClearCounts on the scratch, whose layout the previous verdict left in
+// place, then MergeFrom over every shard's accumulator and Max. Cost is
 // O(S * distinct values), independent of how much raw traffic the shards
 // absorbed; BENCH.md compares it against re-ingesting the concatenated
 // stream.
 func BenchmarkMergedVerdict(b *testing.B) {
-	const n = 1 << 18
-	for _, universe := range []int64{1 << 20, 1 << 12} {
-		for _, S := range []int{1, 4, 16} {
-			b.Run(fmt.Sprintf("U=2^%d/S=%d", bits.Len64(uint64(universe))-1, S), func(b *testing.B) {
-				eng := New(Config{
-					Shards: S,
-					Router: Uniform,
-					System: setsystem.NewPrefixes(universe),
-					NewSampler: func(int) game.Sampler {
-						return sampler.NewReservoir[int64](2048)
-					},
-					Workers: 1,
-				}, rng.New(1))
-				gen := rng.New(2)
-				stream := make([]int64, n)
-				for i := range stream {
-					stream[i] = 1 + gen.Int63n(universe)
-				}
-				eng.OfferBatch(stream)
-				eng.Verdict() // warm the scratch engine's tables
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if eng.Verdict().Err < 0 {
-						b.Fatal("impossible verdict")
-					}
-				}
-			})
+	const n = 1 << 20
+	const universe = int64(1) << 12
+	eng := New(Config{
+		Shards: 4,
+		Router: HashByValue,
+		System: setsystem.NewPrefixes(universe),
+		NewSampler: func(int) game.Sampler {
+			return sampler.NewReservoir[int64](256)
+		},
+		Workers: 1,
+	}, rng.New(1))
+	gen := rng.New(2)
+	stream := make([]int64, n)
+	for i := range stream {
+		stream[i] = 1 + gen.Int63n(universe)
+	}
+	eng.OfferBatch(stream)
+	eng.Verdict() // lay out the scratch engine
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if eng.Verdict().Err < 0 {
+			b.Fatal("impossible verdict")
 		}
 	}
 }

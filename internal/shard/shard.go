@@ -11,7 +11,10 @@
 //     Accumulator's MergeFrom path, yielding the exact discrepancy of the
 //     union stream against the union sample — bit-identical (error AND
 //     witness) to a one-shot MaxDiscrepancy on the concatenated stream — at
-//     a cost proportional to distinct values, not stream length.
+//     a cost proportional to distinct values, not stream length. The
+//     merged scratch keeps its slots, index and sorted blocks from one
+//     verdict to the next and refolds only the counts; StartGame and
+//     LoadState reset it, because a new stream starts a new layout.
 //   - GlobalSample draws a uniform size-k sample of the union stream from
 //     the per-shard samples alone via sampler.MergeSamples, the [CTW16]
 //     coordinator primitive.
@@ -129,7 +132,17 @@ func (e *Engine) StartGame(r *rng.RNG) {
 		sh.rounds = 0
 		sh.pending = sh.pending[:0]
 	}
+	e.resetGlobal()
 	e.rounds = 0
+}
+
+// resetGlobal drops the merged-verdict scratch's layout when a new stream
+// starts, so the scratch never holds more slots than the current stream's
+// distinct values.
+func (e *Engine) resetGlobal() {
+	if e.global != nil {
+		e.global.Reset()
+	}
 }
 
 // NumShards returns S.
@@ -252,8 +265,9 @@ func (e *Engine) walk(s *Serving, bounded bool, fn func(sh *shardState)) Coverag
 }
 
 // verdict is Verdict over a walk: the exact discrepancy of the entered
-// shards' substreams against their samples, merged into e.global. A
-// serving session serializes it on its query lock (e.global is shared
+// shards' substreams against their samples, merged into e.global, which
+// keeps its layout from the previous verdict and refolds only the counts.
+// A serving session serializes it on its query lock (e.global is shared
 // scratch).
 func (e *Engine) verdict(s *Serving, bounded bool) (setsystem.Discrepancy, Coverage) {
 	if s != nil {
@@ -263,7 +277,7 @@ func (e *Engine) verdict(s *Serving, bounded bool) (setsystem.Discrepancy, Cover
 	if e.global == nil {
 		e.global = e.cfg.System.NewAccumulator()
 	}
-	e.global.Reset()
+	e.global.ClearCounts()
 	cov := e.walk(s, bounded, func(sh *shardState) { e.global.MergeFrom(sh.acc) })
 	return e.global.Max(), cov
 }

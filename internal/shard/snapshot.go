@@ -83,6 +83,7 @@ func LoadState(r *snapshot.Reader, e *Engine) error {
 	}
 	e.rounds = int(rounds)
 	e.routerRNG.SetState(routerHi, routerLo)
+	e.resetGlobal()
 	for _, sh := range e.shards {
 		if err := loadShardBlock(r, sh); err != nil {
 			return err
